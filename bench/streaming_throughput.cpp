@@ -4,16 +4,20 @@
 // measurement is server throughput, not scene synthesis):
 //
 //   sequential       the naive pre-runtime path: one frame at a time through
-//                    the tape-based SnapPixSystem::classify_coded (batch 1)
-//   runtime_batch1   the async runtime, but every frame dispatched alone
-//                    through the same tape path (batching disabled)
-//   runtime_batched  the async runtime with batch aggregation + the fused
+//                    the tape-based SnapPixSystem::classify_logits_coded
+//                    (batch 1)
+//   runtime_batch1   the InferenceServer with every frame dispatched alone
+//                    through the fused BatchedVitEngine (max_batch = 1), so
+//                    its gap to the batched arm is batching alone; reported,
+//                    not gated
+//   runtime_batched  the InferenceServer with batch aggregation + the fused
 //                    BatchedVitEngine (batching enabled)
 //
-// The batched arm must (a) reach >= 3x the aggregate fps of the batch-1
-// arms and (b) produce bit-identical predictions to the sequential path —
-// the fused engine replicates the tape ops' float semantics exactly, so
-// batching is a pure latency/throughput trade, never an accuracy one.
+// The batched arm must (a) reach >= 3x the aggregate fps of the sequential
+// arm (2x regression floor) and (b) produce bit-identical predictions to the
+// sequential path — the fused engine replicates the tape ops' float
+// semantics exactly, so batching is a pure latency/throughput trade, never
+// an accuracy one.
 //
 // A fourth section benches the task-typed InferenceServer on a heterogeneous
 // fleet: 8 cameras over 4 distinct CE patterns with an AR+REC task mix,
@@ -65,7 +69,6 @@
 #include "eval/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/quant.h"
-#include "runtime/runtime.h"
 #include "runtime/server.h"
 #include "tensor/gemm_s8.h"
 #include "transport/link.h"
@@ -91,7 +94,7 @@ struct ArmResult {
   std::string label;
   runtime::RuntimeSummary summary;
   runtime::FleetEnergyReport energy;
-  std::vector<runtime::InferenceResult> results;
+  std::vector<runtime::TaskResult> results;
 };
 
 data::SceneConfig camera_scene(int camera) {
@@ -141,16 +144,16 @@ bool results_identical(const std::vector<runtime::TaskResult>& a,
 
 ArmResult run_runtime_arm(const std::string& label, const core::SnapPixSystem& system,
                           const std::vector<RecordedStream>& streams,
-                          std::int64_t frames_per_camera, const runtime::RuntimeConfig& config) {
-  runtime::StreamingRuntime rt(system, config);
+                          std::int64_t frames_per_camera, const runtime::ServerConfig& config) {
+  runtime::InferenceServer server(system, config);
   for (int cam = 0; cam < kCameras; ++cam) {
-    rt.add_camera(make_camera(cam, streams[static_cast<std::size_t>(cam)], system.pattern()));
+    server.add_camera(make_camera(cam, streams[static_cast<std::size_t>(cam)], system.pattern()));
   }
   ArmResult arm;
   arm.label = label;
-  arm.results = rt.run(frames_per_camera);
-  arm.summary = rt.summary();
-  arm.energy = rt.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
+  arm.results = server.run(frames_per_camera);
+  arm.summary = server.summary();
+  arm.energy = server.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
   return arm;
 }
 
@@ -212,7 +215,12 @@ int main(int argc, char** argv) {
         stats.record_frame_done(
             frame.raw_bytes, frame.wire_bytes,
             std::chrono::duration<double>(runtime::Clock::now() - f0).count());
-        sequential.results.push_back({cam, frame.sequence, predicted, frame.label});
+        runtime::TaskResult result;
+        result.camera_id = cam;
+        result.sequence = frame.sequence;
+        result.predicted = predicted;
+        result.label = frame.label;
+        sequential.results.push_back(std::move(result));
       }
     }
     const double wall =
@@ -223,18 +231,16 @@ int main(int argc, char** argv) {
                                            kStreamFrames, energy::WirelessTech::kPassiveWifi);
   }
 
-  // --- arm 2: async runtime, batching disabled ------------------------------
-  runtime::RuntimeConfig batch1_cfg;
+  // --- arm 2: server, batching disabled (fused engine, batch 1) -------------
+  runtime::ServerConfig batch1_cfg;
   batch1_cfg.batch.max_batch = 1;
-  batch1_cfg.backend = runtime::InferenceBackend::kTapeFramework;
   const ArmResult runtime_batch1 =
       run_runtime_arm("runtime_batch1", system, streams, frames_per_camera, batch1_cfg);
 
-  // --- arm 3: async runtime, batching enabled (fused engine) ----------------
-  runtime::RuntimeConfig batched_cfg;
+  // --- arm 3: server, batching enabled (fused engine) -----------------------
+  runtime::ServerConfig batched_cfg;
   batched_cfg.batch.max_batch = kCameras;
   batched_cfg.batch.max_delay = std::chrono::microseconds(2000);
-  batched_cfg.backend = runtime::InferenceBackend::kFusedEngine;
   const ArmResult runtime_batched =
       run_runtime_arm("runtime_batched", system, streams, frames_per_camera, batched_cfg);
 
@@ -801,17 +807,19 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote BENCH_int8.json\n");
 
-  // Gate numerics strictly; gate throughput with a regression floor below
-  // the 3x target so noisy shared CI runners don't flake the build (the
-  // measured ratio on a quiet single core is 3.3-4.3x).
-  if (speedup_vs_batch1 < 3.0) {
-    std::printf("WARNING: batched serving %.2fx over batch-1, below the 3x target\n",
-                speedup_vs_batch1);
+  // Gate numerics strictly; gate throughput against the sequential tape
+  // batch-1 loop with a regression floor below the 3x target so noisy shared
+  // CI runners don't flake the build (measured 3.7-4.7x in --quick mode on a
+  // 4-core AVX2 host). speedup_vs_batch1 isolates batching alone through the
+  // same fused engine and is reported, not gated.
+  if (speedup_vs_sequential < 3.0) {
+    std::printf("WARNING: batched serving %.2fx over sequential, below the 3x target\n",
+                speedup_vs_sequential);
   }
-  const bool fast_enough = speedup_vs_batch1 >= 2.0;
+  const bool fast_enough = speedup_vs_sequential >= 2.0;
   if (!fast_enough) {
-    std::printf("FAIL: batched serving only %.2fx over batch-1 (regression floor 2x)\n",
-                speedup_vs_batch1);
+    std::printf("FAIL: batched serving only %.2fx over sequential (regression floor 2x)\n",
+                speedup_vs_sequential);
   }
   if (!cache_hits_nonzero) {
     std::printf("FAIL: heterogeneous fleet served with zero pattern-cache hits\n");

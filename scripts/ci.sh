@@ -2,6 +2,8 @@
 # CI entry point, in two modes selected by SANITIZER (docs/static-analysis.md):
 #
 #   SANITIZER=off (default)  configure, build (-Werror), run the test suite,
+#                            repeat the concurrency-heavy suites under CPU
+#                            oversubscription (the load lane),
 #                            run the static lint gate (scripts/check_static.sh),
 #                            check the docs tree's links, then run the
 #                            streaming throughput, observability, and
@@ -48,6 +50,34 @@ if [ "$SANITIZER" != "off" ]; then
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+# Load lane: some races only show when the machine is oversubscribed (the
+# expired-frame producer deadlock hung 5 of 145 runs at ~6-way CPU
+# oversubscription and 0 of 30 on a quiet machine). Six concurrent ctest
+# invocations repeat the concurrency-heavy suites until one fails: at most
+# 6 x 4 test processes, a fixed bound, whatever the core count. Every test
+# carries a ctest TIMEOUT, so a hang fails the lane instead of the job.
+LOAD_COPIES=6
+LOAD_REPEAT=20
+LOAD_PIDS=()
+for copy in $(seq "$LOAD_COPIES"); do
+  ctest --test-dir "$BUILD_DIR" -R 'test_(stress|overload|server|health)' \
+    --repeat until-fail:"$LOAD_REPEAT" -j $((2 * $(nproc))) --output-on-failure \
+    > "$BUILD_DIR/load_lane.$copy.log" 2>&1 &
+  LOAD_PIDS+=($!)
+done
+LOAD_FAILED=0
+for i in "${!LOAD_PIDS[@]}"; do
+  if ! wait "${LOAD_PIDS[$i]}"; then
+    LOAD_FAILED=1
+    cat "$BUILD_DIR/load_lane.$((i + 1)).log"
+  fi
+done
+if [ "$LOAD_FAILED" -ne 0 ]; then
+  echo "ci.sh: load lane failed (see the ctest output above)" >&2
+  exit 1
+fi
+echo "ci.sh: load lane clean ($LOAD_COPIES concurrent x until-fail:$LOAD_REPEAT)"
 
 # Static lint gate: clang-tidy (when installed) + the portable grep lints.
 ./scripts/check_static.sh "$BUILD_DIR"

@@ -1,7 +1,7 @@
 // BatchAggregator: coalesces frames from many cameras into server batches
 // under a max-batch-size / max-latency policy, never mixing serving keys.
 //
-// The aggregator pops one frame (blocking), then keeps popping until either
+// The aggregator pops one frame, then keeps popping until either
 // the batch is full or `max_delay` has elapsed since the batch opened — the
 // standard serving trade-off: larger batches amortize per-dispatch cost,
 // the deadline bounds how long an early frame can sit waiting for company.
@@ -53,9 +53,7 @@ struct BatchKey {
 
 class BatchAggregator {
  public:
-  // Outcome of a bounded-wait poll_batch() call, for consumers that have
-  // other work to do when their own queue runs dry (e.g. a shard worker that
-  // steals from siblings while idle).
+  // Outcome of a poll_batch() call.
   enum class Poll {
     kBatch,      // `out` holds a batch; key via last_key()
     kIdle,       // no frame arrived by the deadline, but more may still come
@@ -64,22 +62,19 @@ class BatchAggregator {
 
   BatchAggregator(FrameQueue& queue, const BatchPolicy& policy);
 
-  // Fills `out` with the next batch (clearing it first). Returns false when
-  // the queue is closed and fully drained (and no held-back frame remains).
-  // Batches preserve queue FIFO order and are homogeneous in
-  // (pattern_id, task); the batch's key is available via last_key().
-  bool next_batch(std::vector<Frame>& out);
-
-  // Like next_batch(), but waits for the batch's FIRST frame only until
-  // `idle_deadline` instead of blocking indefinitely; once a first frame is
-  // in hand the usual max_batch/max_delay policy applies. kIdle means the
-  // caller should come back (or go steal); kExhausted is terminal.
+  // Fills `out` with the next batch (clearing it first). Waits for the
+  // batch's FIRST frame until `idle_deadline` (Clock::time_point::max()
+  // blocks until a frame arrives or the queue is exhausted); once a first
+  // frame is in hand the usual max_batch/max_delay policy applies. Batches
+  // preserve queue order and are homogeneous in their BatchKey, available
+  // via last_key(). kIdle means the caller should come back (or go steal);
+  // kExhausted is terminal.
   Poll poll_batch(std::vector<Frame>& out, Clock::time_point idle_deadline);
 
-  // Key of the batch most recently returned by next_batch().
+  // Key of the batch most recently returned by poll_batch().
   const BatchKey& last_key() const { return last_key_; }
 
-  // Why the batch most recently returned by next_batch()/poll_batch() was
+  // Why the batch most recently returned by poll_batch() was
   // closed (kMaxBatch / kMaxLatency / kExhausted / kHoldback — kSteal is
   // stamped by the server for batches that bypass the aggregator).
   FlushReason last_flush_reason() const { return last_flush_reason_; }
@@ -95,8 +90,8 @@ class BatchAggregator {
   // through the queue) and false is returned, as if no holdback existed.
   bool take_holdback(Frame& first);
 
-  // Shared tail of next_batch/poll_batch: grows a batch around `first` under
-  // the max_batch/max_delay policy, never crossing a key boundary.
+  // Grows a batch around `first` under the max_batch/max_delay policy,
+  // never crossing a key boundary.
   void fill_from(Frame first, std::vector<Frame>& out);
 
   FrameQueue& queue_;

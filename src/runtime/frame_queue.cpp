@@ -85,13 +85,16 @@ void FrameQueue::report_sheds(const std::vector<Frame>& shed, ShedReason reason)
   }
 }
 
-bool FrameQueue::pop(Frame& out) {
+bool FrameQueue::pop_until(Frame& out, Clock::time_point deadline) {
   std::vector<Frame> shed;
   bool got = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      not_empty_.wait(lock, [this] { return closed_ || !frames_.empty(); });
+      if (!not_empty_.wait_until(lock, deadline,
+                                 [this] { return closed_ || !frames_.empty(); })) {
+        break;  // timed out
+      }
       // Drop-late: frames past their deadline are shed, never served stale.
       collect_expired(Clock::now(), shed);
       if (!frames_.empty()) {
@@ -104,43 +107,19 @@ bool FrameQueue::pop(Frame& out) {
       if (closed_) {
         break;  // closed and drained
       }
-      // Everything present had expired; wait for fresh frames.
+      // Everything present had expired. Announce the freed capacity and
+      // report the sheds BEFORE re-waiting: producers parked in admit()
+      // would otherwise sleep on a queue that has room while this consumer
+      // sleeps on it being empty, a deadlock nothing else breaks.
+      lock.unlock();
+      not_full_.notify_all();
+      report_sheds(shed, ShedReason::kDeadline);
+      shed.clear();
+      lock.lock();
     }
   }
   // Sheds can free several slots at once; a single wake would strand
   // producers behind capacity the sheds already freed.
-  if (!shed.empty()) {
-    not_full_.notify_all();
-  } else if (got) {
-    not_full_.notify_one();
-  }
-  report_sheds(shed, ShedReason::kDeadline);
-  return got;
-}
-
-bool FrameQueue::pop_until(Frame& out, Clock::time_point deadline) {
-  std::vector<Frame> shed;
-  bool got = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (!not_empty_.wait_until(lock, deadline,
-                                 [this] { return closed_ || !frames_.empty(); })) {
-        break;  // timed out
-      }
-      collect_expired(Clock::now(), shed);
-      if (!frames_.empty()) {
-        const std::size_t idx = edf_index();
-        out = std::move(frames_[idx]);
-        frames_.erase(frames_.begin() + static_cast<std::ptrdiff_t>(idx));
-        got = true;
-        break;
-      }
-      if (closed_) {
-        break;  // closed and drained
-      }
-    }
-  }
   if (!shed.empty()) {
     not_full_.notify_all();
   } else if (got) {

@@ -17,13 +17,13 @@
 //                          latency. Sheds are counted exactly and reported
 //                          through the shed observer.
 //
-// Dequeue is earliest-deadline-first (EDF): pop()/pop_until() serve the
-// frame with the soonest deadline; frames without deadlines rank behind all
-// deadlined frames and among themselves keep strict FIFO order (so queues
-// with no deadlines behave exactly as the original FIFO — the
-// batching-determinism tests rely on that). Frames whose deadline has
-// already passed are shed at dequeue (drop-late) rather than served stale;
-// shedding frees capacity, so ALL blocked producers are woken.
+// Dequeue is earliest-deadline-first (EDF): pop_until() — pop() is its
+// unbounded form — serves the frame with the soonest deadline; frames
+// without deadlines rank behind all deadlined frames and among themselves
+// keep strict FIFO order (so queues with no deadlines behave exactly as the
+// original FIFO — the batching-determinism tests rely on that). Frames whose
+// deadline has already passed are shed at dequeue (drop-late) rather than
+// served stale; shedding frees capacity, so ALL blocked producers are woken.
 //
 // close() wakes everyone: pending pops drain the remaining frames
 // (drop-late still applies), then return false.
@@ -80,19 +80,15 @@ class FrameQueue {
   // silently.
   PushResult admit(Frame frame);
 
-  // Legacy blocking push: admit() collapsed to a bool. Returns true when the
-  // frame was accepted; false when it was shed OR the queue closed. Kept for
-  // callers that predate QoS (all frames default to kStandard, which never
-  // sheds at admission, so for them false still means exactly "closed").
-  bool push(Frame frame) { return admit(std::move(frame)) == PushResult::kAccepted; }
-
-  // Blocks while the queue is empty. Serves the earliest-deadline frame
+  // Waits until `deadline` for a frame. Serves the earliest-deadline frame
   // (ties and no-deadline frames in FIFO order); sheds expired frames
-  // instead of serving them. Returns false once closed AND drained.
-  bool pop(Frame& out);
-
-  // Like pop(), but gives up at `deadline`; false on timeout or closed+drained.
+  // instead of serving them, waking blocked producers and reporting the
+  // sheds before it waits again. Returns false on timeout or once closed AND
+  // drained.
   bool pop_until(Frame& out, Clock::time_point deadline);
+
+  // Blocking pop_until(): waits as long as it takes.
+  bool pop(Frame& out) { return pop_until(out, Clock::time_point::max()); }
 
   // Work stealing: removes the maximal (pattern_id, task, precision)-pure run of frames
   // from the TAIL of the queue — at most `max_frames` of them — and appends

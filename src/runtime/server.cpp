@@ -36,24 +36,11 @@ void validate(const ServerConfig& config) {
     throw std::invalid_argument(
         "ServerConfig.shards must be >= 1 (someone has to serve the batches)");
   }
-  if (config.backend == InferenceBackend::kTapeFramework && config.shards > 1) {
-    std::ostringstream os;
-    os << "ServerConfig.shards = " << config.shards
-       << " requires the fused-engine backend: the tape framework shares one tape and "
-          "is not safe under concurrent forwards";
-    throw std::invalid_argument(os.str());
-  }
   if (config.steal_poll.count() <= 0) {
     std::ostringstream os;
     os << "ServerConfig.steal_poll must be positive (idle shards would spin), got "
        << config.steal_poll.count() << " us";
     throw std::invalid_argument(os.str());
-  }
-  if (config.backend == InferenceBackend::kTapeFramework &&
-      config.precision == Precision::kInt8) {
-    throw std::invalid_argument(
-        "ServerConfig.precision = int8 requires the fused-engine backend: the tape "
-        "framework has no quantized path");
   }
   if (config.calibration.frames < 1) {
     std::ostringstream os;
@@ -77,15 +64,6 @@ void validate(const ServerConfig& config) {
   }
   validate(config.transport);
   validate(config.health);
-  if (config.health.enabled && config.backend == InferenceBackend::kTapeFramework) {
-    for (const LadderStep& step : config.health.ladder) {
-      if (step.kind == LadderStep::Kind::kInt8Precision) {
-        throw std::invalid_argument(
-            "ServerConfig.health.ladder contains an int8 rung, but the server runs "
-            "the tape backend — the tape framework has no quantized path");
-      }
-    }
-  }
   obs::validate(config.trace);
 }
 
@@ -117,22 +95,20 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>(i, config_.queue_capacity);
-    if (config_.backend == InferenceBackend::kFusedEngine) {
-      shard->cache = std::make_unique<EngineCache>(
-          config_.cache,
-          [&system, max_batch, calibration, image](
-              const ce::CePattern& pattern, Precision precision) -> std::shared_ptr<VitEngine> {
-            if (precision == Precision::kFp32) {
-              return std::make_shared<BatchedVitEngine>(*system.classifier(),
-                                                        *system.reconstructor(), max_batch);
-            }
-            const Tensor frames = make_calibration_frames(pattern, image, image, calibration);
-            const QuantSpec spec =
-                calibrate(*system.classifier(), *system.reconstructor(), frames);
-            return std::make_shared<QuantizedVitEngine>(
-                *system.classifier(), *system.reconstructor(), spec, max_batch);
-          });
-    }
+    shard->cache = std::make_unique<EngineCache>(
+        config_.cache,
+        [&system, max_batch, calibration, image](
+            const ce::CePattern& pattern, Precision precision) -> std::shared_ptr<VitEngine> {
+          if (precision == Precision::kFp32) {
+            return std::make_shared<BatchedVitEngine>(*system.classifier(),
+                                                      *system.reconstructor(), max_batch);
+          }
+          const Tensor frames = make_calibration_frames(pattern, image, image, calibration);
+          const QuantSpec spec =
+              calibrate(*system.classifier(), *system.reconstructor(), frames);
+          return std::make_shared<QuantizedVitEngine>(
+              *system.classifier(), *system.reconstructor(), spec, max_batch);
+        });
     shards_.push_back(std::move(shard));
   }
   if (config_.trace.enabled) {
@@ -192,14 +168,6 @@ void InferenceServer::add_camera(std::unique_ptr<CameraSource> camera) {
   // explicit set_trace_sampling on the camera still wins either way.
   camera->set_default_trace_sampling(config_.trace.enabled ? config_.trace.sample_every : 0);
   camera->set_default_codec_planes(config_.classify_codec_planes);
-  if (camera->precision() == Precision::kInt8 &&
-      config_.backend == InferenceBackend::kTapeFramework) {
-    std::ostringstream os;
-    os << "camera " << camera->id()
-       << " requests int8 serving, but the server runs the tape backend — int8 needs "
-          "the fused-engine backend";
-    throw std::invalid_argument(os.str());
-  }
   const auto [it, inserted] = patterns_.emplace(camera->pattern_id(), camera->pattern_ref());
   // Same 64-bit id must mean same pattern bits: a silent hash collision would
   // merge two patterns' batches and serve both through one cache entry.
@@ -287,19 +255,16 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
   // a thief can build its own entry for a stolen pattern without the frame
   // shipping its pattern bits — engines are deterministic snapshots, so the
   // duplicate serves bit-identical results.
-  std::shared_ptr<const ServingEntry> entry;
-  if (self.cache != nullptr) {
-    const auto it = patterns_.find(key.pattern_id);
-    SNAPPIX_CHECK(it != patterns_.end(),
-                  "frame carries unregistered pattern_id " << key.pattern_id
-                      << " — was its camera added through add_camera()?");
-    entry = self.cache->resolve(key.pattern_id, it->second, key.precision);
-  }
+  const auto it = patterns_.find(key.pattern_id);
+  SNAPPIX_CHECK(it != patterns_.end(),
+                "frame carries unregistered pattern_id " << key.pattern_id
+                    << " — was its camera added through add_camera()?");
+  const std::shared_ptr<const ServingEntry> entry =
+      self.cache->resolve(key.pattern_id, it->second, key.precision);
 
   const Clock::time_point infer_start = Clock::now();
   if (key.task == Task::kClassify) {
-    const std::vector<std::int64_t> predicted =
-        entry != nullptr ? entry->engine->classify(coded) : system_.classify_coded(coded);
+    const std::vector<std::int64_t> predicted = entry->engine->classify(coded);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       TaskResult result;
       result.camera_id = batch[i].camera_id;
@@ -313,8 +278,7 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
       self.results.push_back(std::move(result));
     }
   } else {
-    const Tensor video = entry != nullptr ? entry->engine->reconstruct(coded)
-                                          : system_.reconstruct_coded(coded);
+    const Tensor video = entry->engine->reconstruct(coded);
     const std::int64_t frame_elems = video.shape()[1] * video.shape()[2] * video.shape()[3];
     for (std::size_t i = 0; i < batch.size(); ++i) {
       TaskResult result;
@@ -432,16 +396,11 @@ void InferenceServer::shard_loop(std::size_t index) {
   BatchAggregator aggregator(self.queue, config_.batch);
   std::vector<Frame> batch;
   std::vector<std::pair<std::size_t, std::size_t>> victim_order;  // (depth, shard)
+  // With no sibling to steal from, the idle wait blocks until a frame
+  // arrives or the queue is exhausted: a bounded wait would only add idle
+  // wakeups every steal_poll.
+  const bool steals = config_.work_stealing && shards_.size() > 1;
   try {
-    if (!config_.work_stealing || shards_.size() == 1) {
-      // No one to steal from (or stealing disabled): the bounded-wait poll
-      // loop would only add idle wakeups every steal_poll. Block properly.
-      while (aggregator.next_batch(batch)) {
-        self.heartbeat.fetch_add(1, std::memory_order_relaxed);
-        serve_batch(self, aggregator.last_key(), batch, aggregator.last_flush_reason());
-      }
-      return;
-    }
     for (;;) {
       // Every pass through the loop is a beat: the watchdog distinguishes a
       // worker that is polling (alive, queue just slow to fill) from one
@@ -449,48 +408,51 @@ void InferenceServer::shard_loop(std::size_t index) {
       self.heartbeat.fetch_add(1, std::memory_order_relaxed);
       // Own queue first: a shard prefers the patterns routed to it, keeping
       // its cache view hot.
-      const BatchAggregator::Poll poll =
-          aggregator.poll_batch(batch, Clock::now() + config_.steal_poll);
+      const Clock::time_point idle_deadline =
+          steals ? Clock::now() + config_.steal_poll : Clock::time_point::max();
+      const BatchAggregator::Poll poll = aggregator.poll_batch(batch, idle_deadline);
       if (poll == BatchAggregator::Poll::kBatch) {
         serve_batch(self, aggregator.last_key(), batch, aggregator.last_flush_reason());
         continue;
       }
-      // Idle (or drained for good): probe the siblings for a tail batch so a
-      // hot camera or pattern cannot starve the fleet while we sit here.
-      // Deepest queue first — relief goes where the backlog (and therefore
-      // the latency debt and the shed risk) is largest. Depths are a racy
-      // snapshot, which is fine: any victim with frames is a valid steal,
-      // the ordering is only a preference.
-      victim_order.clear();
-      for (std::size_t offset = 1; offset < shards_.size(); ++offset) {
-        const std::size_t v = (index + offset) % shards_.size();
-        victim_order.emplace_back(shards_[v]->queue.depth(), v);
-      }
-      std::sort(victim_order.begin(), victim_order.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
-      bool stole = false;
-      for (std::size_t i = 0; i < victim_order.size() && !stole; ++i) {
-        Shard& victim = *shards_[victim_order[i].second];
-        ++self.counters.steal_attempts;
-        if (victim.queue.steal_tail(batch, config_.batch.max_batch)) {
-          const Clock::time_point now = Clock::now();
-          for (Frame& frame : batch) {
-            frame.dequeue_time = now;
+      if (steals) {
+        // Idle (or drained for good): probe the siblings for a tail batch so
+        // a hot camera or pattern cannot starve the fleet while we sit here.
+        // Deepest queue first — relief goes where the backlog (and therefore
+        // the latency debt and the shed risk) is largest. Depths are a racy
+        // snapshot, which is fine: any victim with frames is a valid steal,
+        // the ordering is only a preference.
+        victim_order.clear();
+        for (std::size_t offset = 1; offset < shards_.size(); ++offset) {
+          const std::size_t v = (index + offset) % shards_.size();
+          victim_order.emplace_back(shards_[v]->queue.depth(), v);
+        }
+        std::sort(victim_order.begin(), victim_order.end(),
+                  [](const auto& a, const auto& b) { return a.first > b.first; });
+        bool stole = false;
+        for (std::size_t i = 0; i < victim_order.size() && !stole; ++i) {
+          Shard& victim = *shards_[victim_order[i].second];
+          ++self.counters.steal_attempts;
+          if (victim.queue.steal_tail(batch, config_.batch.max_batch)) {
+            const Clock::time_point now = Clock::now();
+            for (Frame& frame : batch) {
+              frame.dequeue_time = now;
+            }
+            ++self.counters.steal_successes;
+            self.counters.stolen_frames += batch.size();
+            serve_batch(self,
+                        BatchKey{batch.front().pattern_id, batch.front().task,
+                                 batch.front().precision, batch.front().decode_depth},
+                        batch, FlushReason::kSteal);
+            stole = true;
           }
-          ++self.counters.steal_successes;
-          self.counters.stolen_frames += batch.size();
-          serve_batch(self,
-                      BatchKey{batch.front().pattern_id, batch.front().task,
-                               batch.front().precision, batch.front().decode_depth},
-                      batch, FlushReason::kSteal);
-          stole = true;
+        }
+        if (stole) {
+          continue;
         }
       }
-      if (stole) {
-        continue;
-      }
       if (poll == BatchAggregator::Poll::kExhausted) {
-        if (fleet_exhausted(index)) {
+        if (!steals || fleet_exhausted(index)) {
           break;  // nothing left anywhere
         }
         // Our queue is done but siblings may still be filling; poll_batch on
@@ -539,7 +501,7 @@ void InferenceServer::watchdog_loop() {
       }
       // A silent worker is only a stall if it is sitting on work it could
       // serve: an empty or closed queue gives an idle worker nothing to beat
-      // about (the blocking no-steal path parks in next_batch).
+      // about (a worker without siblings to steal from parks in poll_batch).
       if (shard.queue.exhausted() || shard.queue.depth() == 0) {
         stale[i] = 0;
         continue;
@@ -653,32 +615,28 @@ std::vector<TaskResult> InferenceServer::run(
     shard.counters.shard = i;
     shard.counters.queue_high_water = shard.queue.high_water_mark();
     stats_.set_queue_high_water(shard.queue.high_water_mark());
-    if (shard.cache != nullptr) {
-      // One snapshot per tier; the total is their sum BY CONSTRUCTION (a
-      // separately-locked counters() read could disagree with the tier reads
-      // if a resolve were still in flight).
-      const EngineCacheCounters fp32 = shard.cache->counters(Precision::kFp32);
-      const EngineCacheCounters int8 = shard.cache->counters(Precision::kInt8);
-      shard.counters.cache_hits = fp32.hits + int8.hits;
-      shard.counters.cache_misses = fp32.misses + int8.misses;
-      shard.counters.cache_evictions = fp32.evictions + int8.evictions;
-      cache_total.hits += shard.counters.cache_hits;
-      cache_total.misses += shard.counters.cache_misses;
-      cache_total.evictions += shard.counters.cache_evictions;
-      cache_fp32.hits += fp32.hits;
-      cache_fp32.misses += fp32.misses;
-      cache_fp32.evictions += fp32.evictions;
-      cache_int8.hits += int8.hits;
-      cache_int8.misses += int8.misses;
-      cache_int8.evictions += int8.evictions;
-    }
+    // One snapshot per tier; the total is their sum BY CONSTRUCTION (a
+    // separately-locked counters() read could disagree with the tier reads
+    // if a resolve were still in flight).
+    const EngineCacheCounters fp32 = shard.cache->counters(Precision::kFp32);
+    const EngineCacheCounters int8 = shard.cache->counters(Precision::kInt8);
+    shard.counters.cache_hits = fp32.hits + int8.hits;
+    shard.counters.cache_misses = fp32.misses + int8.misses;
+    shard.counters.cache_evictions = fp32.evictions + int8.evictions;
+    cache_total.hits += shard.counters.cache_hits;
+    cache_total.misses += shard.counters.cache_misses;
+    cache_total.evictions += shard.counters.cache_evictions;
+    cache_fp32.hits += fp32.hits;
+    cache_fp32.misses += fp32.misses;
+    cache_fp32.evictions += fp32.evictions;
+    cache_int8.hits += int8.hits;
+    cache_int8.misses += int8.misses;
+    cache_int8.evictions += int8.evictions;
     views.push_back(shard.counters);
     total_results += shard.results.size();
   }
-  if (config_.backend == InferenceBackend::kFusedEngine) {
-    stats_.set_cache_counters(cache_total.hits, cache_total.misses, cache_total.evictions);
-    stats_.set_cache_tier_counters(cache_fp32, cache_int8);
-  }
+  stats_.set_cache_counters(cache_total.hits, cache_total.misses, cache_total.evictions);
+  stats_.set_cache_tier_counters(cache_fp32, cache_int8);
   stats_.set_shard_views(std::move(views));
 
   {

@@ -168,8 +168,8 @@ struct RuntimeSummary {
   std::uint64_t fp32_frames = 0;
   std::uint64_t int8_frames = 0;
 
-  /// EngineCache traffic summed over every shard's cache (zero when serving
-  /// through the tape backend, which bypasses the cache).
+  /// EngineCache traffic summed over every shard's cache (zero under direct
+  /// RuntimeStats use).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;

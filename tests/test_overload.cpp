@@ -209,6 +209,50 @@ TEST(DropLate, ExpiredFramesAreShedAtDequeueNeverServed) {
   EXPECT_EQ(queue.total_pushed(), 4U);  // 1 served + 3 expired
 }
 
+// Regression (expired-frame producer deadlock): a consumer that sheds every
+// queued frame as expired must wake the producers blocked on the full queue
+// BEFORE it waits again. Otherwise the producer sleeps on a queue that has
+// room while the consumer sleeps on it being empty: pop() never returns, and
+// pop_until() only returns when its own timeout fires. `bounded` picks the
+// dequeue call: pop_until(now + 30 s) or the unbounded pop().
+void expect_expired_sheds_wake_blocked_producer(bool bounded) {
+  FrameQueue queue(2);
+  ShedLog log;
+  log.install(queue);
+  const Clock::time_point past = Clock::now() - std::chrono::seconds(1);
+  ASSERT_EQ(queue.admit(make_frame(0, 0, QosClass::kStandard, past)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(0, 1, QosClass::kStandard, past)), PushResult::kAccepted);
+  // order: release store after admit() returns, acquire loads on the test
+  // thread; the join below orders the final read anyway.
+  std::atomic<bool> admitted{false};
+  std::thread producer([&queue, &admitted] {
+    EXPECT_EQ(queue.admit(make_frame(1, 0, QosClass::kStandard)), PushResult::kAccepted);
+    admitted.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // producer parks in admit()
+  EXPECT_FALSE(admitted.load(std::memory_order_acquire));  // backpressure held it
+
+  Frame out;
+  const Clock::time_point t0 = Clock::now();
+  const bool got = bounded ? queue.pop_until(out, t0 + std::chrono::seconds(30)) : queue.pop(out);
+  const Clock::duration waited = Clock::now() - t0;
+  producer.join();
+  ASSERT_TRUE(got) << "the consumer timed out instead of serving the producer's frame";
+  EXPECT_LT(waited, std::chrono::seconds(5)) << "the sheds did not wake the producer";
+  EXPECT_EQ(out.camera_id, 1);  // the producer's frame, not a stale one
+  EXPECT_EQ(queue.shed_expired(), 2U);
+  EXPECT_EQ(log.count(ShedReason::kDeadline), 2U);
+  EXPECT_EQ(queue.depth(), 0U);
+}
+
+TEST(DropLate, PopShedsWakeProducerBlockedOnFullQueue) {
+  expect_expired_sheds_wake_blocked_producer(/*bounded=*/false);
+}
+
+TEST(DropLate, PopUntilShedsWakeProducerBlockedOnFullQueue) {
+  expect_expired_sheds_wake_blocked_producer(/*bounded=*/true);
+}
+
 TEST(DropLate, ExpiredHoldbackIsShedNotServedStale) {
   FrameQueue queue(8);
   ShedLog log;
@@ -232,13 +276,15 @@ TEST(DropLate, ExpiredHoldbackIsShedNotServedStale) {
 
   BatchAggregator aggregator(queue, policy);
   std::vector<Frame> batch;
-  ASSERT_TRUE(aggregator.next_batch(batch));  // [A]; B goes to holdback
+  ASSERT_EQ(aggregator.poll_batch(batch, Clock::time_point::max()),
+            BatchAggregator::Poll::kBatch);  // [A]; B goes to holdback
   ASSERT_EQ(batch.size(), 1U);
   EXPECT_EQ(batch[0].pattern_id, 1U);
   EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kHoldback);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));  // B expires
-  EXPECT_FALSE(aggregator.next_batch(batch));  // B shed, queue exhausted
+  EXPECT_EQ(aggregator.poll_batch(batch, Clock::time_point::max()),
+            BatchAggregator::Poll::kExhausted);  // B shed, queue exhausted
   EXPECT_EQ(queue.shed_expired(), 1U);
   ASSERT_EQ(log.count(ShedReason::kDeadline), 1U);
 }
@@ -278,11 +324,14 @@ TEST(Edf, PopServesEarliestDeadlineFirstThenFifoAmongUndeadlined) {
   const Clock::time_point base = Clock::now() + std::chrono::seconds(10);
   // Mixed insert order: deadlines 3s/1s/2s out of order, plus two
   // no-deadline frames bracketing them.
-  ASSERT_TRUE(queue.push(make_frame(9, 0, QosClass::kStandard)));
-  ASSERT_TRUE(queue.push(make_frame(3, 0, QosClass::kStandard, base + std::chrono::seconds(3))));
-  ASSERT_TRUE(queue.push(make_frame(1, 0, QosClass::kStandard, base + std::chrono::seconds(1))));
-  ASSERT_TRUE(queue.push(make_frame(9, 1, QosClass::kStandard)));
-  ASSERT_TRUE(queue.push(make_frame(2, 0, QosClass::kStandard, base + std::chrono::seconds(2))));
+  ASSERT_EQ(queue.admit(make_frame(9, 0, QosClass::kStandard)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(3, 0, QosClass::kStandard, base + std::chrono::seconds(3))),
+            PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(1, 0, QosClass::kStandard, base + std::chrono::seconds(1))),
+            PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(9, 1, QosClass::kStandard)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(2, 0, QosClass::kStandard, base + std::chrono::seconds(2))),
+            PushResult::kAccepted);
 
   std::vector<int> order;
   Frame out;
@@ -297,7 +346,7 @@ TEST(Edf, PopServesEarliestDeadlineFirstThenFifoAmongUndeadlined) {
 TEST(Edf, QueueWithoutDeadlinesDegradesToExactFifo) {
   FrameQueue queue(8);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(queue.push(make_frame(0, i, QosClass::kStandard)));
+    ASSERT_EQ(queue.admit(make_frame(0, i, QosClass::kStandard)), PushResult::kAccepted);
   }
   Frame out;
   for (int i = 0; i < 6; ++i) {
@@ -434,9 +483,10 @@ TEST(OverloadProperty, BatchDeadlinesNonDecreasingUnderEdf) {
       // enough out that nothing expires mid-test.
       const std::int64_t ms = rng.uniform_int(0, 999);
       const bool undeadlined = rng.uniform_int(0, 3) == 0;
-      ASSERT_TRUE(queue.push(make_frame(
-          0, seq++, QosClass::kStandard,
-          undeadlined ? Clock::time_point{} : base + std::chrono::milliseconds(ms))));
+      ASSERT_EQ(queue.admit(make_frame(
+                    0, seq++, QosClass::kStandard,
+                    undeadlined ? Clock::time_point{} : base + std::chrono::milliseconds(ms))),
+                PushResult::kAccepted);
     }
     queue.close();
 
@@ -447,7 +497,8 @@ TEST(OverloadProperty, BatchDeadlinesNonDecreasingUnderEdf) {
     std::vector<Frame> batch;
     std::size_t total = 0;
     bool saw_undeadlined_globally = false;
-    while (aggregator.next_batch(batch)) {
+    while (aggregator.poll_batch(batch, Clock::time_point::max()) ==
+           BatchAggregator::Poll::kBatch) {
       total += batch.size();
       for (std::size_t i = 1; i < batch.size(); ++i) {
         const Frame& prev = batch[i - 1];
@@ -650,6 +701,86 @@ TEST(SaturatedServer, ShedsOnlyBestEffortConservesExactlyAndServesBitIdentical) 
   // bug; the fairness story under sustained load belongs to the saturation
   // bench, which paces its offered load.
   EXPECT_GT(summary.shed_best_effort, 0U);
+}
+
+// Regression (expired-frame producer deadlock, end to end): a single shard
+// with stealing off serves through the blocking poll_batch wait. The first
+// batch stalls far past the deadline budget, so the standard-QoS producers
+// fill the capacity-2 queue and block while its frames expire. The next
+// dequeue sheds them all; if the freed capacity were not announced before
+// the consumer waits again, producers and consumer would sleep forever and
+// run() would never return.
+TEST(SaturatedServer, SingleShardSurvivesQueueExpiringUnderBlockedProducers) {
+  core::SnapPixConfig sys_cfg;
+  sys_cfg.image = 16;
+  sys_cfg.frames = 8;
+  sys_cfg.num_classes = 4;
+  sys_cfg.seed = 3;
+  core::SnapPixSystem system(sys_cfg);
+
+  constexpr int kCameras = 2;
+  constexpr int kBufferFrames = 4;
+  constexpr std::int64_t kFramesPerCamera = 12;
+  std::vector<std::vector<Tensor>> buffers;
+  std::vector<std::vector<std::int64_t>> reference;  // tape oracle, batch 1
+  for (int cam = 0; cam < kCameras; ++cam) {
+    Rng rng(300 + static_cast<std::uint64_t>(cam));
+    std::vector<Tensor> coded;
+    std::vector<std::int64_t> predictions;
+    for (int i = 0; i < kBufferFrames; ++i) {
+      std::vector<float> data(16 * 16);
+      for (float& v : data) {
+        v = rng.uniform(0.0F, 1.0F);
+      }
+      Tensor frame = Tensor::from_vector(std::move(data), Shape{16, 16});
+      const Tensor batch1 = Tensor::from_vector(frame.data(), Shape{1, 16, 16});
+      predictions.push_back(system.classify_coded(batch1)[0]);
+      coded.push_back(std::move(frame));
+    }
+    buffers.push_back(std::move(coded));
+    reference.push_back(std::move(predictions));
+  }
+
+  ServerConfig config;
+  config.shards = 1;
+  config.work_stealing = false;
+  config.queue_capacity = 2;
+  config.batch.max_batch = 2;
+  config.deadline_budget = std::chrono::milliseconds(20);
+  // order: relaxed — only the one shard worker reads and writes it.
+  std::atomic<bool> stalled{false};
+  config.before_batch = [&stalled](std::size_t, const runtime::BatchKey&, std::size_t) {
+    if (!stalled.exchange(true, std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));  // 10x the budget
+    }
+  };
+  InferenceServer server(system, config);
+  for (int cam = 0; cam < kCameras; ++cam) {
+    server.add_camera(std::make_unique<runtime::ReplayCameraSource>(
+        cam, system.pattern_ref(), buffers[static_cast<std::size_t>(cam)],
+        std::vector<std::int64_t>{}));
+  }
+
+  const std::vector<runtime::TaskResult> results = server.run(kFramesPerCamera);
+  const runtime::RuntimeSummary summary = server.summary();
+
+  std::map<int, std::uint64_t> served;
+  for (const runtime::TaskResult& r : results) {
+    ++served[r.camera_id];
+    ASSERT_EQ(r.predicted, reference[static_cast<std::size_t>(r.camera_id)]
+                                    [static_cast<std::size_t>(r.sequence % kBufferFrames)])
+        << "camera " << r.camera_id << " sequence " << r.sequence;
+  }
+  std::map<int, std::uint64_t> shed;
+  for (const auto& [camera_id, counters] : summary.shed_cameras) {
+    shed[camera_id] = counters.queue_full + counters.deadline;
+  }
+  for (int cam = 0; cam < kCameras; ++cam) {
+    EXPECT_EQ(served[cam] + shed[cam], static_cast<std::uint64_t>(kFramesPerCamera))
+        << "camera " << cam;
+  }
+  EXPECT_TRUE(stalled.load(std::memory_order_relaxed));
+  EXPECT_GT(summary.shed_deadline, 0U);  // the stall really expired queued frames
 }
 
 }  // namespace

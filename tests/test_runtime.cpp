@@ -14,7 +14,7 @@
 #include "runtime/camera.h"
 #include "runtime/engine.h"
 #include "runtime/frame_queue.h"
-#include "runtime/runtime.h"
+#include "runtime/server.h"
 #include "runtime/stats.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -24,8 +24,10 @@ namespace {
 
 using runtime::BatchAggregator;
 using runtime::BatchPolicy;
+using runtime::Clock;
 using runtime::Frame;
 using runtime::FrameQueue;
+using runtime::PushResult;
 
 Frame make_frame(int camera, std::int64_t sequence) {
   Frame frame;
@@ -58,7 +60,7 @@ data::SceneConfig small_scene() {
 TEST(FrameQueue, PreservesFifoOrder) {
   FrameQueue queue(8);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.push(make_frame(0, i)));
+    ASSERT_EQ(queue.admit(make_frame(0, i)), PushResult::kAccepted);
   }
   queue.close();
   Frame out;
@@ -71,11 +73,12 @@ TEST(FrameQueue, PreservesFifoOrder) {
 
 TEST(FrameQueue, PushBlocksWhenFullUntilPopped) {
   FrameQueue queue(2);
-  ASSERT_TRUE(queue.push(make_frame(0, 0)));
-  ASSERT_TRUE(queue.push(make_frame(0, 1)));
+  ASSERT_EQ(queue.admit(make_frame(0, 0)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(0, 1)), PushResult::kAccepted);
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_frame(0, 2)));  // must block on the full queue
+    // Must block on the full queue.
+    EXPECT_EQ(queue.admit(make_frame(0, 2)), PushResult::kAccepted);
     third_pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -90,17 +93,17 @@ TEST(FrameQueue, PushBlocksWhenFullUntilPopped) {
 
 TEST(FrameQueue, CloseUnblocksProducerAndConsumer) {
   FrameQueue queue(1);
-  ASSERT_TRUE(queue.push(make_frame(0, 0)));
+  ASSERT_EQ(queue.admit(make_frame(0, 0)), PushResult::kAccepted);
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     queue.close();
   });
-  EXPECT_FALSE(queue.push(make_frame(0, 1)));  // blocked, then failed on close
+  EXPECT_EQ(queue.admit(make_frame(0, 1)), PushResult::kClosed);  // blocked, then failed on close
   closer.join();
   Frame out;
   EXPECT_TRUE(queue.pop(out));   // drains the remaining frame
   EXPECT_FALSE(queue.pop(out));  // then reports closed
-  EXPECT_FALSE(queue.push(make_frame(0, 2)));
+  EXPECT_EQ(queue.admit(make_frame(0, 2)), PushResult::kClosed);
 }
 
 TEST(FrameQueue, PopUntilTimesOutOnEmptyQueue) {
@@ -128,7 +131,7 @@ TEST(ThreadPool, RunsAllSubmittedTasks) {
 TEST(BatchAggregator, RespectsMaxBatchAndFifo) {
   FrameQueue queue(16);
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(queue.push(make_frame(i % 2, i)));
+    ASSERT_EQ(queue.admit(make_frame(i % 2, i)), PushResult::kAccepted);
   }
   queue.close();
   BatchPolicy policy;
@@ -137,7 +140,8 @@ TEST(BatchAggregator, RespectsMaxBatchAndFifo) {
   std::vector<Frame> batch;
   std::vector<std::int64_t> order;
   std::vector<std::size_t> sizes;
-  while (aggregator.next_batch(batch)) {
+  while (aggregator.poll_batch(batch, Clock::time_point::max()) ==
+         BatchAggregator::Poll::kBatch) {
     sizes.push_back(batch.size());
     for (const Frame& f : batch) {
       order.push_back(f.sequence);
@@ -149,14 +153,15 @@ TEST(BatchAggregator, RespectsMaxBatchAndFifo) {
 
 TEST(BatchAggregator, GreedyPolicyNeverWaits) {
   FrameQueue queue(16);
-  ASSERT_TRUE(queue.push(make_frame(0, 0)));
+  ASSERT_EQ(queue.admit(make_frame(0, 0)), PushResult::kAccepted);
   BatchPolicy policy;
   policy.max_batch = 8;
   policy.max_delay = std::chrono::microseconds(0);
   BatchAggregator aggregator(queue, policy);
   std::vector<Frame> batch;
   const auto t0 = runtime::Clock::now();
-  ASSERT_TRUE(aggregator.next_batch(batch));
+  ASSERT_EQ(aggregator.poll_batch(batch, Clock::time_point::max()),
+            BatchAggregator::Poll::kBatch);
   EXPECT_LT(runtime::Clock::now() - t0, std::chrono::milliseconds(100));
   EXPECT_EQ(batch.size(), 1U);
   queue.close();
@@ -277,21 +282,21 @@ TEST(CameraSource, SensorCameraReportsSimulatedWireBytes) {
 
 // Batched async serving must produce exactly the predictions of the
 // sequential single-camera path, frame for frame.
-TEST(StreamingRuntime, BatchedMatchesSequentialPath) {
+TEST(InferenceServer, BatchedMatchesSequentialPath) {
   core::SnapPixSystem system(small_system_config());
   Rng rng(29);
   // A non-trivial pattern so encode/normalize paths are exercised.
   system.set_pattern(ce::CePattern::random(8, 8, rng, 0.5F));
 
   const std::int64_t frames_per_camera = 6;
-  runtime::RuntimeConfig config;
+  runtime::ServerConfig config;
   config.batch.max_batch = 4;
-  runtime::StreamingRuntime rt(system, config);
+  runtime::InferenceServer server(system, config);
   for (int cam = 0; cam < 4; ++cam) {
-    rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
+    server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
         cam, small_scene(), system.pattern(), 500 + static_cast<std::uint64_t>(cam)));
   }
-  const auto batched = rt.run(frames_per_camera);
+  const auto batched = server.run(frames_per_camera);
   ASSERT_EQ(batched.size(), 24U);
 
   // Sequential reference: identical cameras (same seeds), tape-based batch-1.
@@ -313,7 +318,7 @@ TEST(StreamingRuntime, BatchedMatchesSequentialPath) {
   }
 }
 
-TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
+TEST(InferenceServer, FourCameraSmokeAllAdapterKinds) {
   core::SnapPixSystem system(small_system_config());
   auto dataset_config = data::ucf101_like(/*frames=*/8, /*size=*/16);
   dataset_config.scene.num_classes = 4;
@@ -321,23 +326,23 @@ TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
   dataset_config.test_per_class = 3;
   auto dataset = std::make_shared<const data::VideoDataset>(dataset_config);
 
-  runtime::RuntimeConfig config;
+  runtime::ServerConfig config;
   config.batch.max_batch = 4;
   config.queue_capacity = 8;
-  runtime::StreamingRuntime rt(system, config);
-  rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern(), 1));
-  rt.add_camera(
+  runtime::InferenceServer server(system, config);
+  server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
+                                                                     system.pattern(), 1));
+  server.add_camera(
       std::make_unique<runtime::DatasetCameraSource>(1, dataset, system.pattern(), 1));
-  rt.add_camera(std::make_unique<runtime::SensorCameraSource>(
+  server.add_camera(std::make_unique<runtime::SensorCameraSource>(
       2, system.default_sensor_config(), small_scene(), system.pattern(), 2));
   {
     runtime::SyntheticCameraSource source(3, small_scene(), system.pattern(), 3);
-    rt.add_camera(runtime::ReplayCameraSource::record(source, 4));
+    server.add_camera(runtime::ReplayCameraSource::record(source, 4));
   }
 
   const std::int64_t frames_per_camera = 5;
-  const auto results = rt.run(frames_per_camera);
+  const auto results = server.run(frames_per_camera);
   ASSERT_EQ(results.size(), 20U);
   for (int cam = 0; cam < 4; ++cam) {
     for (std::int64_t f = 0; f < frames_per_camera; ++f) {
@@ -349,7 +354,7 @@ TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
     }
   }
 
-  const auto summary = rt.summary();
+  const auto summary = server.summary();
   EXPECT_EQ(summary.frames, 20U);
   EXPECT_GT(summary.batches, 0U);
   EXPECT_GT(summary.aggregate_fps, 0.0);
@@ -357,18 +362,9 @@ TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
   EXPECT_EQ(summary.end_to_end.count, 20U);
 
   const auto energy =
-      rt.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
+      server.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
   EXPECT_GT(energy.conventional_j, energy.snappix_j);  // Sec. VI-D direction
   EXPECT_GT(energy.saving_factor, 1.0);
-}
-
-TEST(StreamingRuntime, RunIsOneShot) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::StreamingRuntime rt(system, {});
-  rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern(), 1));
-  (void)rt.run(1);
-  EXPECT_THROW(rt.run(1), std::runtime_error);
 }
 
 // --- stats -------------------------------------------------------------------

@@ -23,7 +23,6 @@
 #include "runtime/engine.h"
 #include "runtime/engine_cache.h"
 #include "runtime/frame_queue.h"
-#include "runtime/runtime.h"
 #include "runtime/server.h"
 #include "util/rng.h"
 
@@ -32,12 +31,14 @@ namespace {
 
 using runtime::BatchAggregator;
 using runtime::BatchPolicy;
+using runtime::Clock;
 using runtime::EngineCache;
 using runtime::EngineCacheConfig;
 using runtime::Frame;
 using runtime::FrameQueue;
 using runtime::InferenceServer;
 using runtime::PatternRef;
+using runtime::PushResult;
 using runtime::ServerConfig;
 using runtime::Task;
 using runtime::TaskResult;
@@ -92,19 +93,19 @@ TEST(CePatternHash, SingleBitFlipChangesHash) {
 TEST(ConfigValidation, RejectsBadValuesWithInvalidArgument) {
   core::SnapPixSystem system(small_system_config());
   {
-    runtime::RuntimeConfig cfg;
+    ServerConfig cfg;
     cfg.queue_capacity = 0;
-    EXPECT_THROW(runtime::StreamingRuntime(system, cfg), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    runtime::RuntimeConfig cfg;
+    ServerConfig cfg;
     cfg.batch.max_batch = 0;
-    EXPECT_THROW(runtime::StreamingRuntime(system, cfg), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    runtime::RuntimeConfig cfg;
+    ServerConfig cfg;
     cfg.batch.max_delay = std::chrono::microseconds(-1);
-    EXPECT_THROW(runtime::StreamingRuntime(system, cfg), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
     ServerConfig cfg;
@@ -172,7 +173,7 @@ TEST(FrameQueue, CloseUnblocksConsumerBlockedOnEmptyQueue) {
   Frame out;
   EXPECT_FALSE(queue.pop(out));  // blocked on empty, woken by close
   closer.join();
-  EXPECT_FALSE(queue.push(std::move(out)));
+  EXPECT_EQ(queue.admit(std::move(out)), PushResult::kClosed);
 }
 
 TEST(FrameQueue, CloseUnblocksTimedConsumerBeforeDeadline) {
@@ -202,11 +203,12 @@ Frame keyed(int camera, std::int64_t sequence, std::uint64_t pattern_id, Task ta
 
 TEST(FrameQueueSteal, TakesKeyPureTailSuffixInFifoOrder) {
   FrameQueue queue(16);
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 0, 2, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 1, 2, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(2, 0, 2, Task::kReconstruct)));  // same pattern, other task
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 0, 2, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 1, 2, Task::kClassify)), PushResult::kAccepted);
+  // Same pattern, other task.
+  ASSERT_EQ(queue.admit(keyed(2, 0, 2, Task::kReconstruct)), PushResult::kAccepted);
 
   std::vector<Frame> stolen;
   ASSERT_TRUE(queue.steal_tail(stolen, 8));
@@ -229,7 +231,7 @@ TEST(FrameQueueSteal, TakesKeyPureTailSuffixInFifoOrder) {
 TEST(FrameQueueSteal, RespectsMaxFramesTakingTheNewestRun) {
   FrameQueue queue(16);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.push(keyed(0, i, 1, Task::kClassify)));
+    ASSERT_EQ(queue.admit(keyed(0, i, 1, Task::kClassify)), PushResult::kAccepted);
   }
   std::vector<Frame> stolen;
   ASSERT_TRUE(queue.steal_tail(stolen, 3));
@@ -251,15 +253,15 @@ TEST(FrameQueueSteal, RespectsMaxFramesTakingTheNewestRun) {
 // that is a deadlock.
 TEST(FrameQueueSteal, FreesCapacityForAllBlockedProducers) {
   FrameQueue queue(2);
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
   std::atomic<int> pushed{0};
   std::thread p1([&] {
-    EXPECT_TRUE(queue.push(keyed(1, 0, 1, Task::kClassify)));
+    EXPECT_EQ(queue.admit(keyed(1, 0, 1, Task::kClassify)), PushResult::kAccepted);
     pushed.fetch_add(1);
   });
   std::thread p2([&] {
-    EXPECT_TRUE(queue.push(keyed(2, 0, 1, Task::kClassify)));
+    EXPECT_EQ(queue.admit(keyed(2, 0, 1, Task::kClassify)), PushResult::kAccepted);
     pushed.fetch_add(1);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -278,12 +280,14 @@ TEST(FrameQueueSteal, FreesCapacityForAllBlockedProducers) {
 // complete the push, then close() fails it instead of deadlocking.
 TEST(FrameQueueSteal, ProducerBlockedInPushObservesShutdownWhileShardsDrain) {
   FrameQueue queue(1);
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
   std::atomic<bool> first_done{false};
   std::thread producer([&] {
-    EXPECT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));  // blocked until a drain
+    // Blocked until a drain.
+    EXPECT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
     first_done.store(true);
-    EXPECT_FALSE(queue.push(keyed(0, 2, 1, Task::kClassify)));  // blocked until close
+    // Blocked until close.
+    EXPECT_EQ(queue.admit(keyed(0, 2, 1, Task::kClassify)), PushResult::kClosed);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(first_done.load());
@@ -308,13 +312,13 @@ TEST(BatchAggregator, NeverMixesPatternOrTask) {
   FrameQueue queue(32);
   // Interleaved streams: pattern 1 classify, pattern 2 classify, pattern 1
   // reconstruct. FIFO: A A B A R A B.
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 0, 2, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 2, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(2, 0, 1, Task::kReconstruct)));
-  ASSERT_TRUE(queue.push(keyed(0, 3, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 1, 2, Task::kClassify)));
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 0, 2, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 2, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(2, 0, 1, Task::kReconstruct)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 3, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 1, 2, Task::kClassify)), PushResult::kAccepted);
   queue.close();
 
   BatchPolicy policy;
@@ -323,7 +327,8 @@ TEST(BatchAggregator, NeverMixesPatternOrTask) {
   std::vector<Frame> batch;
   std::vector<std::vector<std::int64_t>> batches;
   std::vector<runtime::BatchKey> keys;
-  while (aggregator.next_batch(batch)) {
+  while (aggregator.poll_batch(batch, Clock::time_point::max()) ==
+         BatchAggregator::Poll::kBatch) {
     std::vector<std::int64_t> ids;
     for (const Frame& f : batch) {
       EXPECT_EQ(f.pattern_id, aggregator.last_key().pattern_id);
@@ -1050,13 +1055,6 @@ TEST(ShardedServer, ValidatesShardConfiguration) {
     EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    // The tape framework serializes on one tape: no concurrent consumers.
-    ServerConfig cfg;
-    cfg.shards = 2;
-    cfg.backend = runtime::InferenceBackend::kTapeFramework;
-    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
-  }
-  {
     ServerConfig cfg;
     cfg.steal_poll = std::chrono::microseconds(0);
     EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
@@ -1070,46 +1068,6 @@ TEST(ShardedServer, ValidatesShardConfiguration) {
   }
 }
 
-// The tape backend serves the same fleet without a cache and stays
-// bit-identical to the fused path.
-TEST(InferenceServer, TapeBackendMatchesFusedBackend) {
-  core::SnapPixSystem system(small_system_config());
-  const auto patterns = distinct_patterns(2, 67);
-
-  const auto run_fleet = [&](runtime::InferenceBackend backend) {
-    ServerConfig config;
-    config.batch.max_batch = 4;
-    config.backend = backend;
-    InferenceServer server(system, config);
-    for (int cam = 0; cam < 3; ++cam) {
-      auto camera = std::make_unique<runtime::SyntheticCameraSource>(
-          cam, small_scene(), patterns[static_cast<std::size_t>(cam % 2)],
-          800 + static_cast<std::uint64_t>(cam));
-      if (cam == 2) {
-        camera->set_task(Task::kReconstruct);
-      }
-      server.add_camera(std::move(camera));
-    }
-    return server.run(3);
-  };
-
-  const auto fused = run_fleet(runtime::InferenceBackend::kFusedEngine);
-  const auto tape = run_fleet(runtime::InferenceBackend::kTapeFramework);
-  ASSERT_EQ(fused.size(), tape.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused[i].camera_id, tape[i].camera_id);
-    EXPECT_EQ(fused[i].sequence, tape[i].sequence);
-    EXPECT_EQ(fused[i].task, tape[i].task);
-    EXPECT_EQ(fused[i].predicted, tape[i].predicted);
-    if (fused[i].task == Task::kReconstruct) {
-      ASSERT_EQ(fused[i].reconstruction.data().size(), tape[i].reconstruction.data().size());
-      for (std::size_t v = 0; v < fused[i].reconstruction.data().size(); ++v) {
-        ASSERT_EQ(fused[i].reconstruction.data()[v], tape[i].reconstruction.data()[v]);
-      }
-    }
-  }
-}
-
 TEST(InferenceServer, RunIsOneShot) {
   core::SnapPixSystem system(small_system_config());
   InferenceServer server(system, {});
@@ -1117,45 +1075,6 @@ TEST(InferenceServer, RunIsOneShot) {
       0, small_scene(), system.pattern_ref(), 1));
   (void)server.run(1);
   EXPECT_THROW(server.run(1), std::runtime_error);
-}
-
-// StreamingRuntime remains a faithful classification facade over the server.
-TEST(StreamingRuntimeFacade, MatchesServerClassifyResults) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::RuntimeConfig config;
-  config.batch.max_batch = 4;
-  runtime::StreamingRuntime rt(system, config);
-  for (int cam = 0; cam < 2; ++cam) {
-    rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
-        cam, small_scene(), system.pattern_ref(), 40 + static_cast<std::uint64_t>(cam)));
-  }
-  const auto results = rt.run(3);
-  ASSERT_EQ(results.size(), 6U);
-
-  ServerConfig server_config;
-  server_config.batch.max_batch = 4;
-  InferenceServer server(system, server_config);
-  for (int cam = 0; cam < 2; ++cam) {
-    server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
-        cam, small_scene(), system.pattern_ref(), 40 + static_cast<std::uint64_t>(cam)));
-  }
-  const auto typed = server.run(3);
-  ASSERT_EQ(typed.size(), results.size());
-  for (std::size_t i = 0; i < typed.size(); ++i) {
-    EXPECT_EQ(results[i].camera_id, typed[i].camera_id);
-    EXPECT_EQ(results[i].sequence, typed[i].sequence);
-    EXPECT_EQ(results[i].predicted, typed[i].predicted);
-    EXPECT_EQ(results[i].label, typed[i].label);
-  }
-}
-
-TEST(StreamingRuntimeFacade, RejectsReconstructionCameras) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::StreamingRuntime rt(system, {});
-  auto camera = std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern_ref(), 1);
-  camera->set_task(Task::kReconstruct);
-  EXPECT_THROW(rt.add_camera(std::move(camera)), std::runtime_error);
 }
 
 }  // namespace

@@ -53,6 +53,7 @@ using runtime::Frame;
 using runtime::FrameQueue;
 using runtime::InferenceServer;
 using runtime::PatternRef;
+using runtime::PushResult;
 using runtime::Precision;
 using runtime::ServerConfig;
 
@@ -95,7 +96,8 @@ TEST(FrameQueueStress, ProducersConsumersAndThiefConserveEveryFrame) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&queue, p] {
       for (std::int64_t i = 0; i < kFramesEach; ++i) {
-        ASSERT_TRUE(queue.push(tiny_frame(p, i)));  // nobody closes mid-stream
+        // Nobody closes mid-stream.
+        ASSERT_EQ(queue.admit(tiny_frame(p, i)), PushResult::kAccepted);
       }
     });
   }
@@ -160,7 +162,7 @@ TEST(FrameQueueStress, CloseRacingPushPopStealNeverLosesAnAcceptedFrame) {
 
     std::thread producer([&queue, &accepted] {
       for (std::int64_t i = 0; i < 60; ++i) {
-        if (!queue.push(tiny_frame(0, i))) {
+        if (queue.admit(tiny_frame(0, i)) != PushResult::kAccepted) {
           break;  // closed under us: everything after is rejected too
         }
         accepted.fetch_add(1, std::memory_order_relaxed);
