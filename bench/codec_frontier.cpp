@@ -25,6 +25,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,6 +33,7 @@
 #include "core/snappix.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/server.h"
 #include "transport/csi2.h"
@@ -249,12 +251,14 @@ int main(int argc, char** argv) {
       server.add_camera(std::move(camera));
     }
     auto results = server.run(serve_frames);
-    return std::make_pair(std::move(results), server.summary());
+    return std::make_tuple(std::move(results), server.summary(),
+                           obs::to_json(server.metrics_snapshot()));
   };
 
-  const auto [reference_results, reference_summary] = run_fleet(false);
-  const auto [served_results, served_summary] = run_fleet(true);
+  const auto [reference_results, reference_summary, reference_metrics] = run_fleet(false);
+  const auto [served_results, served_summary, served_metrics] = run_fleet(true);
   (void)reference_summary;
+  (void)reference_metrics;
   const bool serving_identical = results_identical(reference_results, served_results);
   const bool serving_clean =
       served_summary.transport.framed_frames == served_summary.frames &&
@@ -276,23 +280,23 @@ int main(int argc, char** argv) {
        << ",\n  \"raw_framed_bytes\": " << raw_framed_bytes << ",\n  \"frontier\": [\n";
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     const DepthPoint& point = frontier[i];
-    json << "    {\"planes\": " << point.planes << ", \"wire_ratio\": " << point.wire_ratio
-         << ", \"top1_agreement\": " << point.top1_agreement
-         << ", \"rec_psnr_db\": " << point.rec_psnr_db << "}"
+    json << "    {\"planes\": " << point.planes
+         << ", \"wire_ratio\": " << obs::json_number(point.wire_ratio)
+         << ", \"top1_agreement\": " << obs::json_number(point.top1_agreement)
+         << ", \"rec_psnr_db\": " << obs::json_number(point.rec_psnr_db) << "}"
          << (i + 1 < frontier.size() ? ",\n" : "\n");
   }
   json << "  ],\n  \"full_depth_bit_identical\": " << (full_depth_identical ? "true" : "false")
        << ",\n  \"agreement_gate\": 0.98,\n  \"ratio_gate\": 0.5"
        << ",\n  \"rate_point_planes\": " << (rate_point_exists ? rate_point->planes : 0)
        << ",\n  \"rate_point_wire_ratio\": "
-       << (rate_point_exists ? rate_point->wire_ratio : 0.0)
+       << obs::json_number(rate_point_exists ? rate_point->wire_ratio : 0.0)
        << ",\n  \"rate_point_within_gate\": " << (rate_point_cheap ? "true" : "false")
        << ",\n  \"serving\": {\"cameras\": " << kCameras
        << ", \"frames_per_camera\": " << serve_frames
        << ", \"classify_depth\": " << serve_depth
-       << ", \"aggregate_fps\": " << served_summary.aggregate_fps
-       << ", \"wire_bytes\": " << served_summary.wire_bytes
-       << ", \"transport\": " << runtime::to_json(served_summary.transport)
+       << ", \"aggregate_fps\": " << obs::json_number(served_summary.aggregate_fps)
+       << ", \"metrics\": " << served_metrics
        << ", \"bit_identical\": " << (serving_identical ? "true" : "false")
        << ", \"transport_clean\": " << (serving_clean ? "true" : "false") << "}\n}\n";
   json.close();

@@ -41,6 +41,7 @@
 #include "../tests/json_lite.h"
 #include "bench_util.h"
 #include "core/snappix.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/camera.h"
 #include "runtime/server.h"
@@ -282,9 +283,9 @@ int main(int argc, char** argv) {
   const auto arm_json = [](const ArmResult& arm) {
     std::string out = "{\"fps\": [";
     for (std::size_t i = 0; i < arm.fps.size(); ++i) {
-      out += (i > 0 ? ", " : "") + std::to_string(arm.fps[i]);
+      out += (i > 0 ? ", " : "") + obs::json_number(arm.fps[i]);
     }
-    out += "], \"max_fps\": " + std::to_string(arm.max_fps) + "}";
+    out += "], \"max_fps\": " + obs::json_number(arm.max_fps) + "}";
     return out;
   };
   {
@@ -296,8 +297,8 @@ int main(int argc, char** argv) {
          << ",\n  \"untraced\": " << arm_json(untraced)
          << ",\n  \"unsampled_tracing\": " << arm_json(unsampled)
          << ",\n  \"sampled_tracing\": " << arm_json(sampled)
-         << ",\n  \"unsampled_fps_ratio\": " << unsampled_ratio
-         << ",\n  \"sampled_fps_ratio\": " << sampled_ratio
+         << ",\n  \"unsampled_fps_ratio\": " << obs::json_number(unsampled_ratio)
+         << ",\n  \"sampled_fps_ratio\": " << obs::json_number(sampled_ratio)
          << ",\n  \"unsampled_gate\": 0.98,\n  \"sampled_gate\": 0.95"
          << ",\n  \"bit_identical\": " << (bits_identical ? "true" : "false")
          << ",\n  \"sampled_frames\": " << sampled_frames

@@ -67,6 +67,7 @@
 #include "core/snappix.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/quant.h"
 #include "runtime/server.h"
@@ -94,8 +95,16 @@ struct ArmResult {
   std::string label;
   runtime::RuntimeSummary summary;
   runtime::FleetEnergyReport energy;
+  std::string metrics;  // obs::to_json of the arm's registry snapshot
   std::vector<runtime::TaskResult> results;
 };
+
+// One arm in a BENCH_*.json: the registry export every counter comes from,
+// plus the throughput the speedup gates divide.
+std::string arm_json(const std::string& metrics, double aggregate_fps) {
+  return "{\"aggregate_fps\": " + obs::json_number(aggregate_fps) +
+         ", \"metrics\": " + metrics + "}";
+}
 
 data::SceneConfig camera_scene(int camera) {
   data::SceneConfig scene;
@@ -154,6 +163,7 @@ ArmResult run_runtime_arm(const std::string& label, const core::SnapPixSystem& s
   arm.results = server.run(frames_per_camera);
   arm.summary = server.summary();
   arm.energy = server.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
+  arm.metrics = obs::to_json(server.metrics_snapshot());
   return arm;
 }
 
@@ -197,6 +207,7 @@ int main(int argc, char** argv) {
   {
     NoGradGuard guard;
     runtime::RuntimeStats stats;
+    const runtime::ShardSeries shard = stats.shard(0);
     const runtime::Clock::time_point t0 = runtime::Clock::now();
     for (int cam = 0; cam < kCameras; ++cam) {
       auto camera = make_camera(cam, streams[static_cast<std::size_t>(cam)], system.pattern());
@@ -211,7 +222,7 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(runtime::Clock::now() - i0).count();
         const auto predicted = argmax_last_axis(logits)[0];
         sequential_logits.push_back(logits);
-        stats.record_batch(1, infer_s);
+        stats.record_batch(shard, 1, infer_s);
         stats.record_frame_done(
             frame.raw_bytes, frame.wire_bytes,
             std::chrono::duration<double>(runtime::Clock::now() - f0).count());
@@ -229,6 +240,7 @@ int main(int argc, char** argv) {
     sequential.energy = stats.fleet_energy(energy::EnergyModel{},
                                            static_cast<std::int64_t>(kStreamImage) * kStreamImage,
                                            kStreamFrames, energy::WirelessTech::kPassiveWifi);
+    sequential.metrics = obs::to_json(stats.registry().snapshot());
   }
 
   // --- arm 2: server, batching disabled (fused engine, batch 1) -------------
@@ -307,11 +319,13 @@ int main(int argc, char** argv) {
        << frames_per_camera << ",\n  \"image\": " << kStreamImage
        << ",\n  \"slots\": " << kStreamFrames << ",\n  \"arms\": [\n";
   for (std::size_t i = 0; i < arms.size(); ++i) {
-    json << "    " << runtime::to_json(arms[i]->summary, arms[i]->energy, arms[i]->label)
-         << (i + 1 < arms.size() ? ",\n" : "\n");
+    json << "    {\"label\": \"" << arms[i]->label << "\", \"aggregate_fps\": "
+         << obs::json_number(arms[i]->summary.aggregate_fps)
+         << ", \"metrics\": " << arms[i]->metrics << "}" << (i + 1 < arms.size() ? ",\n" : "\n");
   }
-  json << "  ],\n  \"speedup_batched_vs_sequential\": " << speedup_vs_sequential
-       << ",\n  \"speedup_batched_vs_batch1\": " << speedup_vs_batch1
+  json << "  ],\n  \"speedup_batched_vs_sequential\": "
+       << obs::json_number(speedup_vs_sequential)
+       << ",\n  \"speedup_batched_vs_batch1\": " << obs::json_number(speedup_vs_batch1)
        << ",\n  \"bit_identical_predictions\": " << (identical_predictions ? "true" : "false")
        << ",\n  \"bit_identical_logits\": " << (identical_logits ? "true" : "false") << "\n}\n";
   json.close();
@@ -376,20 +390,21 @@ int main(int argc, char** argv) {
     std::printf("\n[%s] consumer_shards=%zu cache_shards=%zu capacity/shard=%zu\n%s", label,
                 shards, cache_cfg.shards, cache_cfg.capacity_per_shard,
                 runtime::to_string(summary).c_str());
-    return std::make_pair(std::move(results), summary);
+    return std::make_tuple(std::move(results), summary,
+                           obs::to_json(server.metrics_snapshot()));
   };
 
   // All four patterns resident: every batch after first touch is a hit.
   runtime::EngineCacheConfig roomy;
   roomy.shards = 2;
   roomy.capacity_per_shard = 4;
-  auto [hetero_results, hetero_summary] = run_hetero("pattern_cache_resident", roomy,
-                                                     hetero_frames);
+  auto [hetero_results, hetero_summary, hetero_metrics] =
+      run_hetero("pattern_cache_resident", roomy, hetero_frames);
   // One-entry cache: pattern alternation thrashes, counting evictions.
   runtime::EngineCacheConfig tiny;
   tiny.shards = 1;
   tiny.capacity_per_shard = 1;
-  auto [pressure_results, pressure_summary] =
+  auto [pressure_results, pressure_summary, pressure_metrics] =
       run_hetero("pattern_cache_pressure", tiny, quick ? 10 : 25);
   (void)pressure_results;
 
@@ -432,27 +447,24 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream cache_json("BENCH_pattern_cache.json");
-    const auto arm_json = [](const runtime::RuntimeSummary& s,
-                             const runtime::EngineCacheConfig& c) {
-      std::string out = "{\"shards\": " + std::to_string(c.shards) +
-                        ", \"capacity_per_shard\": " + std::to_string(c.capacity_per_shard) +
-                        ", \"frames\": " + std::to_string(s.frames) +
-                        ", \"classify_frames\": " + std::to_string(s.classify_frames) +
-                        ", \"reconstruct_frames\": " + std::to_string(s.reconstruct_frames) +
-                        ", \"aggregate_fps\": " + std::to_string(s.aggregate_fps) +
-                        ", \"mean_batch_size\": " + std::to_string(s.mean_batch_size) +
-                        ", \"cache_hits\": " + std::to_string(s.cache_hits) +
-                        ", \"cache_misses\": " + std::to_string(s.cache_misses) +
-                        ", \"cache_evictions\": " + std::to_string(s.cache_evictions) +
-                        ", \"cache_hit_rate\": " + std::to_string(s.cache_hit_rate) + "}";
-      return out;
+    // The gates read hits (resident) and evictions (pressure); every other
+    // count is in the arm's registry export.
+    const auto cache_arm_json = [](const runtime::RuntimeSummary& s,
+                                   const runtime::EngineCacheConfig& c,
+                                   const std::string& metrics) {
+      return "{\"shards\": " + std::to_string(c.shards) +
+             ", \"capacity_per_shard\": " + std::to_string(c.capacity_per_shard) +
+             ", \"cache_hits\": " + std::to_string(s.cache_hits) +
+             ", \"cache_evictions\": " + std::to_string(s.cache_evictions) +
+             ", \"metrics\": " + metrics + "}";
     };
     cache_json << "{\n  \"cameras\": " << kCameras
                << ",\n  \"patterns\": " << kHeteroPatterns
                << ",\n  \"frames_per_camera\": " << hetero_frames
                << ",\n  \"task_mix\": \"" << (kCameras - 2) << " classify + 2 reconstruct\""
-               << ",\n  \"resident\": " << arm_json(hetero_summary, roomy)
-               << ",\n  \"pressure\": " << arm_json(pressure_summary, tiny)
+               << ",\n  \"resident\": " << cache_arm_json(hetero_summary, roomy, hetero_metrics)
+               << ",\n  \"pressure\": "
+               << cache_arm_json(pressure_summary, tiny, pressure_metrics)
                << ",\n  \"bit_identical\": " << (hetero_identical ? "true" : "false")
                << "\n}\n";
   }
@@ -466,7 +478,7 @@ int main(int argc, char** argv) {
               "%u hardware threads\n", kShards, hw_threads);
   // Same fleet, same cache geometry, same batch policy — the only variable is
   // the consumer topology, so the fps ratio isolates shard scaling.
-  auto [sharded_results, sharded_summary] =
+  auto [sharded_results, sharded_summary, sharded_metrics] =
       run_hetero("sharded_x4", roomy, hetero_frames, kShards);
 
   const bool sharded_identical = results_identical(hetero_results, sharded_results);
@@ -488,29 +500,15 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream sharded_json("BENCH_sharded.json");
-    const auto arm_json = [](const runtime::RuntimeSummary& s) {
-      std::string out = "{\"frames\": " + std::to_string(s.frames) +
-                        ", \"batches\": " + std::to_string(s.batches) +
-                        ", \"aggregate_fps\": " + std::to_string(s.aggregate_fps) +
-                        ", \"mean_batch_size\": " + std::to_string(s.mean_batch_size) +
-                        ", \"steal_attempts\": " + std::to_string(s.steal_attempts) +
-                        ", \"steal_successes\": " + std::to_string(s.steal_successes) +
-                        ", \"stolen_frames\": " + std::to_string(s.stolen_frames) +
-                        ", \"shards\": [";
-      for (std::size_t i = 0; i < s.shards.size(); ++i) {
-        out += (i > 0 ? ", " : "") + runtime::to_json(s.shards[i]);
-      }
-      out += "]}";
-      return out;
-    };
     sharded_json << "{\n  \"cameras\": " << kCameras
                  << ",\n  \"patterns\": " << kHeteroPatterns
                  << ",\n  \"frames_per_camera\": " << hetero_frames
                  << ",\n  \"consumer_shards\": " << kShards
                  << ",\n  \"hardware_threads\": " << hw_threads
-                 << ",\n  \"single_consumer\": " << arm_json(hetero_summary)
-                 << ",\n  \"sharded\": " << arm_json(sharded_summary)
-                 << ",\n  \"speedup_sharded_vs_single\": " << sharded_speedup
+                 << ",\n  \"single_consumer\": "
+                 << arm_json(hetero_metrics, hetero_summary.aggregate_fps)
+                 << ",\n  \"sharded\": " << arm_json(sharded_metrics, sharded_summary.aggregate_fps)
+                 << ",\n  \"speedup_sharded_vs_single\": " << obs::json_number(sharded_speedup)
                  << ",\n  \"speedup_gate_enforced\": "
                  << (speedup_gate_enforced ? "true" : "false")
                  << ",\n  \"bit_identical\": " << (sharded_identical ? "true" : "false")
@@ -550,10 +548,11 @@ int main(int argc, char** argv) {
     }
     std::printf("\n[%s] drop_rate=%.3f\n%s", label, drop_rate,
                 runtime::to_string(summary).c_str());
-    return std::make_tuple(std::move(results), summary, injected_faulted);
+    return std::make_tuple(std::move(results), summary, injected_faulted,
+                           obs::to_json(server.metrics_snapshot()));
   };
 
-  const auto [framed_results, framed_summary, framed_injected] =
+  const auto [framed_results, framed_summary, framed_injected, framed_metrics] =
       run_framed("framed_clean", 0.0, {});
 
   // Zero faults: the framed arm must reproduce the in-memory arm bit for bit.
@@ -578,7 +577,7 @@ int main(int argc, char** argv) {
   // exactness: observed drop counters == the links' injected ground truth.
   runtime::TransportPolicy drop_policy;
   drop_policy.corrupt = runtime::TransportPolicy::Corrupt::kDrop;
-  const auto [lossy_results, lossy_summary, lossy_injected] =
+  const auto [lossy_results, lossy_summary, lossy_injected, lossy_metrics] =
       run_framed("framed_lossy", 0.02, drop_policy);
   const bool drops_exact = lossy_summary.transport.dropped_frames == lossy_injected &&
                            lossy_results.size() + lossy_injected ==
@@ -600,16 +599,17 @@ int main(int argc, char** argv) {
     framed_json << "{\n  \"cameras\": " << kCameras
                 << ",\n  \"patterns\": " << kHeteroPatterns
                 << ",\n  \"frames_per_camera\": " << hetero_frames
-                << ",\n  \"in_memory_fps\": " << hetero_summary.aggregate_fps
-                << ",\n  \"framed_fps\": " << framed_summary.aggregate_fps
-                << ",\n  \"framed_fps_ratio\": " << framed_fps_ratio
-                << ",\n  \"framed_wire_bytes\": " << framed_summary.wire_bytes
-                << ",\n  \"framed_overhead_ratio\": " << framed_overhead_ratio
+                << ",\n  \"in_memory_fps\": " << obs::json_number(hetero_summary.aggregate_fps)
+                << ",\n  \"framed_fps\": " << obs::json_number(framed_summary.aggregate_fps)
+                << ",\n  \"framed_fps_ratio\": " << obs::json_number(framed_fps_ratio)
+                << ",\n  \"framed_overhead_ratio\": " << obs::json_number(framed_overhead_ratio)
                 << ",\n  \"bit_identical\": " << (framed_identical ? "true" : "false")
-                << ",\n  \"transport\": " << runtime::to_json(framed_summary.transport)
+                << ",\n  \"transport_all_ok\": " << (framed_all_ok ? "true" : "false")
+                << ",\n  \"metrics\": " << framed_metrics
                 << ",\n  \"lossy_drop_rate\": 0.02"
                 << ",\n  \"lossy_injected_faulted_frames\": " << lossy_injected
-                << ",\n  \"lossy_transport\": " << runtime::to_json(lossy_summary.transport)
+                << ",\n  \"lossy_dropped_frames\": " << lossy_summary.transport.dropped_frames
+                << ",\n  \"lossy_metrics\": " << lossy_metrics
                 << ",\n  \"lossy_drops_exact\": " << (drops_exact ? "true" : "false")
                 << "\n}\n";
   }
@@ -723,6 +723,7 @@ int main(int argc, char** argv) {
   // bit-identical to the all-fp32 arm above.
   std::vector<runtime::TaskResult> mixed_results;
   runtime::RuntimeSummary mixed_summary;
+  std::string mixed_metrics;
   {
     runtime::ServerConfig server_cfg;
     server_cfg.batch.max_batch = kCameras;
@@ -739,6 +740,7 @@ int main(int argc, char** argv) {
     }
     mixed_results = server.run(hetero_frames);
     mixed_summary = server.summary();
+    mixed_metrics = obs::to_json(server.metrics_snapshot());
     std::printf("\n[int8_mixed_fleet]\n%s", runtime::to_string(mixed_summary).c_str());
   }
   bool mixed_fp32_identical = true;
@@ -781,29 +783,26 @@ int main(int argc, char** argv) {
     int8_json << "{\n  \"image\": 32,\n  \"tokens\": 16,\n  \"frames\": " << frontier_frames
               << ",\n  \"reps\": " << frontier_reps
               << ",\n  \"int8_simd\": " << (avx2_int8 ? "true" : "false")
-              << ",\n  \"fp32_classify_fps\": " << fp32_classify_fps
-              << ",\n  \"int8_classify_fps\": " << int8_classify_fps
-              << ",\n  \"int8_classify_speedup\": " << int8_classify_speedup
-              << ",\n  \"fp32_rec_fps\": " << fp32_rec_fps
-              << ",\n  \"int8_rec_fps\": " << int8_rec_fps
-              << ",\n  \"int8_rec_speedup\": " << int8_rec_speedup
-              << ",\n  \"top1_agreement\": " << top1_agreement
-              << ",\n  \"mean_abs_logit_diff\": " << mean_abs_logit_diff
-              << ",\n  \"rec_psnr_fp32_db\": " << psnr_fp32
-              << ",\n  \"rec_psnr_int8_db\": " << psnr_int8
-              << ",\n  \"rec_psnr_delta_db\": " << psnr_delta
+              << ",\n  \"fp32_classify_fps\": " << obs::json_number(fp32_classify_fps)
+              << ",\n  \"int8_classify_fps\": " << obs::json_number(int8_classify_fps)
+              << ",\n  \"int8_classify_speedup\": " << obs::json_number(int8_classify_speedup)
+              << ",\n  \"fp32_rec_fps\": " << obs::json_number(fp32_rec_fps)
+              << ",\n  \"int8_rec_fps\": " << obs::json_number(int8_rec_fps)
+              << ",\n  \"int8_rec_speedup\": " << obs::json_number(int8_rec_speedup)
+              << ",\n  \"top1_agreement\": " << obs::json_number(top1_agreement)
+              << ",\n  \"mean_abs_logit_diff\": " << obs::json_number(mean_abs_logit_diff)
+              << ",\n  \"rec_psnr_fp32_db\": " << obs::json_number(psnr_fp32)
+              << ",\n  \"rec_psnr_int8_db\": " << obs::json_number(psnr_int8)
+              << ",\n  \"rec_psnr_delta_db\": " << obs::json_number(psnr_delta)
               << ",\n  \"agreement_gate\": 0.98"
               << ",\n  \"speedup_gate\": 1.8"
               << ",\n  \"speedup_gate_enforced\": " << (avx2_int8 ? "true" : "false")
               << ",\n  \"mixed_fleet\": {\"cameras\": " << kCameras
               << ", \"int8_cameras\": " << kCameras / 2
-              << ", \"aggregate_fps\": " << mixed_summary.aggregate_fps
-              << ", \"fp32_frames\": " << mixed_summary.fp32_frames
-              << ", \"int8_frames\": " << mixed_summary.int8_frames
-              << ", \"cache_fp32\": " << runtime::to_json(mixed_summary.cache_fp32)
-              << ", \"cache_int8\": " << runtime::to_json(mixed_summary.cache_int8)
+              << ", \"metrics\": " << mixed_metrics
               << ", \"fp32_bit_identical\": " << (mixed_fp32_identical ? "true" : "false")
-              << ", \"int8_top1_agreement\": " << mixed_agreement << "}\n}\n";
+              << ", \"int8_top1_agreement\": " << obs::json_number(mixed_agreement)
+              << "}\n}\n";
   }
   std::printf("wrote BENCH_int8.json\n");
 

@@ -114,11 +114,11 @@ int main() {
     const obs::MetricsSnapshot live = server.metrics_snapshot();
     std::uint64_t frames = 0;
     std::uint64_t batches = 0;
-    for (const auto& [name, value] : live.counters) {
-      if (name == "snappix_frames_total") {
-        frames = value;
-      } else if (name == "snappix_batches_total") {
-        batches = value;
+    for (const auto& [name, value] : live.counters) {  // summed over {shard=...}
+      if (name.rfind("snappix_frames_total{", 0) == 0) {
+        frames += value;
+      } else if (name.rfind("snappix_batches_total{", 0) == 0) {
+        batches += value;
       }
     }
     std::printf("  [mid-run snapshot] %llu frames served in %llu batches so far\n",

@@ -163,3 +163,17 @@ assert events, "trace has no events"
 print(f"trace_obs.json: valid JSON, {len(events)} trace events")
 EOF
 fi
+
+# Every BENCH_*.json artifact must be strict JSON. NaN and Infinity are not
+# JSON, so a non-finite double that bypassed obs::json_number fails here.
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$BUILD_DIR"/BENCH_*.json << 'EOF'
+import json, sys
+def reject(token):
+    raise ValueError(f"non-finite token {token!r}")
+for path in sys.argv[1:]:
+    with open(path) as f:
+        json.loads(f.read(), parse_constant=reject)
+    print(f"{path}: strict JSON")
+EOF
+fi

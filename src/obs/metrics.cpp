@@ -61,15 +61,16 @@ void Histogram::observe(double value) {
   buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
       1, std::memory_order_relaxed);
   atomic_fold(sum_, value, [](double a, double b) { return a + b; });
-  count_.fetch_add(1, std::memory_order_relaxed);
   // min_/max_ are seeded to +/-inf, so the first observation folds exactly
-  // like every later one. (The previous "first sample stores" protocol had
-  // a lost-update window: observer A winning the count race could STORE its
-  // value over the smaller min a racing observer B had already folded.
-  // Folding unconditionally is idempotent and order-free; readers sanitize
-  // the unset infinities.)
+  // like every later one (a "first sample stores" protocol would let a
+  // racing observer overwrite a smaller min another one already folded).
   atomic_fold(min_, value, [](double a, double b) { return a < b ? a : b; });
   atomic_fold(max_, value, [](double a, double b) { return a > b ? a : b; });
+  // order: release — count_ is published LAST, after every fold above, so a
+  // reader that acquire-loads count N sees the sum/min/max folds of (at
+  // least) those N observations. fetch_add is an RMW, so every earlier
+  // observer's release stays in the release sequence the reader syncs with.
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 double Histogram::mean() const {
@@ -126,16 +127,12 @@ double Histogram::percentile(double p) const {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
-  out.count = count();
+  out.count = count();  // acquire: the extremes of these observations are visible
   out.sum = sum();
-  out.mean = mean();
   if (out.count > 0) {
-    // Same transient-unset sanitation as percentile(): a count published
-    // before the first min/max fold lands must not export an infinity.
-    const double lo = min_.load(std::memory_order_relaxed);
-    const double hi = max_.load(std::memory_order_relaxed);
-    out.min = std::isfinite(lo) ? lo : 0.0;
-    out.max = std::isfinite(hi) ? hi : 0.0;
+    out.mean = out.sum / static_cast<double>(out.count);
+    out.min = min_.load(std::memory_order_relaxed);
+    out.max = max_.load(std::memory_order_relaxed);
   }
   out.p50 = percentile(50.0);
   out.p95 = percentile(95.0);
@@ -270,21 +267,30 @@ std::string to_json(const MetricsSnapshot& s) {
 
 std::string to_prometheus(const MetricsSnapshot& s) {
   std::ostringstream os;
+  // One `# TYPE` line per family: the labeled series of a base name sort
+  // next to each other, so a change of base starts a new family.
+  std::string family;
+  const auto type_line = [&os, &family](const std::string& base, const char* type) {
+    if (base != family) {
+      os << "# TYPE " << base << " " << type << "\n";
+      family = base;
+    }
+  };
   for (const auto& [name, value] : s.counters) {
     const auto [base, labels] = split_labels(name);
-    os << "# TYPE " << base << " counter\n";
+    type_line(base, "counter");
     os << base << (labels.empty() ? "" : "{" + labels + "}") << " " << value << "\n";
   }
   for (const auto& [name, value] : s.gauges) {
     const auto [base, labels] = split_labels(name);
-    os << "# TYPE " << base << " gauge\n";
+    type_line(base, "gauge");
     os << base << (labels.empty() ? "" : "{" + labels + "}") << " " << json_number(value)
        << "\n";
   }
   for (const HistogramSnapshot& h : s.histograms) {
     const auto [base, labels] = split_labels(h.name);
     const std::string prefix = labels.empty() ? "" : labels + ",";
-    os << "# TYPE " << base << " histogram\n";
+    type_line(base, "histogram");
     std::uint64_t cumulative = 0;
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       cumulative += h.buckets[b];

@@ -23,7 +23,7 @@
 /// artifacts) and to_prometheus() (Prometheus text exposition format v0.0.4,
 /// with cumulative `_bucket{le=...}` series per histogram) both render a
 /// MetricsSnapshot. Metric names may embed Prometheus labels directly —
-/// `snappix_batch_flush_total{reason="max_batch"}` — and the exporters split
+/// `snappix_batches_total{shard="1",reason="steal"}` — and the exporters split
 /// them back out where the format requires it.
 #pragma once
 
@@ -100,11 +100,12 @@ class Histogram {
 
   void observe(double value);
 
-  // order: relaxed — each statistic is folded independently (observe() is
-  // not one transaction); readers tolerate the documented one-event skew
-  // between count/sum/buckets, and no reader dereferences anything through
-  // these values, so no release/acquire pairing is required.
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  // order: acquire on count_, pairing with the release increment that ends
+  // observe(): a reader that sees count N also sees the sum/min/max folds of
+  // those N observations, so a snapshot never pairs count > 0 with unset
+  // extremes. sum() is relaxed — it is read after count() and the pairing
+  // above already orders it; no reader dereferences through these values.
+  std::uint64_t count() const { return count_.load(std::memory_order_acquire); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const;
   /// \brief Interpolated percentile, `p` in [0, 100]. Returns 0 when empty;
@@ -121,13 +122,15 @@ class Histogram {
   // counters; percentile() reads one consistent local copy and tolerates
   // skew against count_ (it derives the total from the buckets themselves).
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  // order: relaxed — see count()/sum() above.
+  // order: release increment (last step of observe()), acquire load in
+  // count() — see count() above.
   std::atomic<std::uint64_t> count_{0};
+  // order: relaxed CAS fold; published through count_ (see count()).
   std::atomic<double> sum_{0.0};
-  // order: relaxed CAS folds. Seeded to +/-inf so racing first observers
-  // both fold (a plain "first sample stores" protocol would let a later
-  // store overwrite a smaller concurrent min); readers sanitize the
-  // still-unset infinities to 0 / a bucket bound, never exporting them.
+  // order: relaxed CAS folds, published through count_ (see count()).
+  // Seeded to +/-inf so racing first observers both fold. percentile()
+  // reads buckets, not count_, so it still sanitizes a transiently unset
+  // infinity; snapshot() needs no sanitizing (count > 0 implies folded).
   std::atomic<double> min_{kUnsetMin};
   std::atomic<double> max_{kUnsetMax};
 

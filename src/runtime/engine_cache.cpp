@@ -45,14 +45,21 @@ Tensor PatternNormalizer::apply(const Tensor& coded) const {
 
 // --- EngineCache -------------------------------------------------------------
 
-EngineCache::EngineCache(const EngineCacheConfig& config, EngineFactory factory)
-    : config_(config), factory_(std::move(factory)) {
+EngineCache::EngineCache(const EngineCacheConfig& config, EngineFactory factory,
+                         const CacheSeries& series)
+    : config_(config), factory_(std::move(factory)), series_(series) {
   SNAPPIX_CHECK(config.shards > 0, "EngineCache needs at least one shard");
   SNAPPIX_CHECK(config.capacity_per_shard > 0, "EngineCache shard capacity must be positive");
   SNAPPIX_CHECK(factory_ != nullptr, "EngineCache needs an engine factory");
   shards_.reserve(config.shards);
   for (std::size_t i = 0; i < config.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+  }
+  for (std::size_t tier = 0; tier < series_.size(); ++tier) {
+    CacheTierSeries& s = series_[tier];
+    s.hits = s.hits != nullptr ? s.hits : &own_[tier][0];
+    s.misses = s.misses != nullptr ? s.misses : &own_[tier][1];
+    s.evictions = s.evictions != nullptr ? s.evictions : &own_[tier][2];
   }
 }
 
@@ -67,7 +74,7 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
   SNAPPIX_CHECK(pattern != nullptr, "resolve() needs the pattern to build on a miss");
   Shard& shard = shard_for(pattern_id);
   const CacheKey key{pattern_id, precision};
-  EngineCacheCounters& counters = shard.counters[static_cast<std::size_t>(precision)];
+  const CacheTierSeries& counters = series_[static_cast<std::size_t>(precision)];
 
   // A hit is a map lookup; a miss builds (and for int8, calibrates) an
   // engine. The hit/miss arg on the span makes the difference visible in the
@@ -80,7 +87,7 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
 
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    ++counters.hits;
+    counters.hits->add();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
     if (lane != nullptr) {
       lane->add_complete("cache_resolve", span_start, recorder->now_ns() - span_start,
@@ -89,7 +96,7 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
     return it->second->second;
   }
 
-  ++counters.misses;
+  counters.misses->add();
   auto entry = std::make_shared<ServingEntry>();
   entry->pattern = pattern;
   entry->normalizer = std::make_unique<PatternNormalizer>(*pattern);
@@ -105,7 +112,7 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
   shard.index.emplace(key, shard.lru.begin());
   while (shard.lru.size() > config_.capacity_per_shard) {
     const CacheKey& victim = shard.lru.back().first;
-    ++shard.counters[static_cast<std::size_t>(victim.precision)].evictions;
+    series_[static_cast<std::size_t>(victim.precision)].evictions->add();
     shard.index.erase(victim);
     shard.lru.pop_back();  // in-flight holders keep the entry alive
   }
@@ -128,15 +135,9 @@ EngineCacheCounters EngineCache::counters() const {
 }
 
 EngineCacheCounters EngineCache::counters(Precision precision) const {
-  EngineCacheCounters total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    const EngineCacheCounters& tier = shard->counters[static_cast<std::size_t>(precision)];
-    total.hits += tier.hits;
-    total.misses += tier.misses;
-    total.evictions += tier.evictions;
-  }
-  return total;
+  const CacheTierSeries& tier = series_[static_cast<std::size_t>(precision)];
+  return EngineCacheCounters{tier.hits->value(), tier.misses->value(),
+                             tier.evictions->value()};
 }
 
 std::size_t EngineCache::resident() const {

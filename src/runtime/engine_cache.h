@@ -25,13 +25,18 @@
 /// pattern's fp32 (bit-exact BatchedVitEngine) and int8 (calibrated
 /// QuantizedVitEngine) engines coexist independently — a fleet can serve
 /// some cameras at each tier. Traffic counters are kept per tier;
-/// counters() sums them, counters(Precision) reads one tier.
+/// counters() sums them, counters(Precision) reads one tier. The counters
+/// are obs::Counter atomics the cache either owns or is handed at
+/// construction: the InferenceServer hands each shard's cache its metrics
+/// registry series, so the cache's own counters() and the live export read
+/// the same atomics rather than two tallies.
 ///
 /// Thread-safety: resolve() locks only the owning shard. Entries are handed
 /// out as shared_ptr, so an entry evicted mid-flight stays alive until its
 /// last in-flight batch completes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -41,6 +46,7 @@
 #include <vector>
 
 #include "ce/pattern.h"
+#include "obs/metrics.h"
 #include "runtime/engine.h"
 #include "runtime/precision.h"
 #include "tensor/tensor.h"
@@ -60,6 +66,17 @@ struct EngineCacheCounters {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
 };
+
+/// \brief Where an EngineCache counts one precision tier's traffic. A null
+/// member falls back to a counter the cache owns.
+struct CacheTierSeries {
+  obs::Counter* hits = nullptr;
+  obs::Counter* misses = nullptr;
+  obs::Counter* evictions = nullptr;
+};
+
+/// \brief Both tiers' counters, indexed by Precision ([0] = kFp32, [1] = kInt8).
+using CacheSeries = std::array<CacheTierSeries, 2>;
 
 /// \brief Precomputed exposure normalizer for one pattern: the reciprocal
 /// exposure counts per within-tile pixel (never-exposed pixels map to 0).
@@ -105,7 +122,10 @@ class EngineCache {
   using EngineFactory =
       std::function<std::shared_ptr<VitEngine>(const ce::CePattern&, Precision)>;
 
-  EngineCache(const EngineCacheConfig& config, EngineFactory factory);
+  /// \brief `series` names the counters resolve() records into (see
+  /// CacheTierSeries); the default counts into the cache's own.
+  EngineCache(const EngineCacheConfig& config, EngineFactory factory,
+              const CacheSeries& series = {});
 
   /// \brief Returns the resident entry for (`pattern_id`, `precision`),
   /// building it from `pattern` on a miss and evicting the shard's LRU entry
@@ -156,8 +176,6 @@ class EngineCache {
                                            std::shared_ptr<const ServingEntry>>>::iterator,
                        CacheKeyHash>
         index;
-    // Indexed by Precision: [0] = kFp32, [1] = kInt8.
-    EngineCacheCounters counters[2];
   };
 
   Shard& shard_for(std::uint64_t pattern_id);
@@ -165,6 +183,8 @@ class EngineCache {
   EngineCacheConfig config_;
   EngineFactory factory_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  obs::Counter own_[2][3];  // fallback counters: [Precision][hit, miss, eviction]
+  CacheSeries series_;      // every slot non-null after construction
 };
 
 }  // namespace snappix::runtime

@@ -122,10 +122,10 @@ inline const char* to_string(HealthState state) {
   }
 }
 
-// Why a BatchAggregator closed a batch. Recorded per batch for the per-reason
-// counters in ShardStatsView / the metrics registry and stamped on the trace
-// span, so a latency regression can be attributed to policy (deadline
-// flushes) vs load (full batches) vs drain/steal behavior.
+// Why a BatchAggregator closed a batch. Recorded per batch in the per-shard
+// snappix_batches_total{shard,reason} series and stamped on the trace span,
+// so a latency regression can be attributed to policy (deadline flushes) vs
+// load (full batches) vs drain/steal behavior.
 enum class FlushReason : std::uint8_t {
   kMaxBatch,    // batch reached BatchPolicy::max_batch
   kMaxLatency,  // max_delay elapsed before the batch filled

@@ -208,8 +208,7 @@ void StreamScheduler::produce(CameraSource& camera, Route& route, std::int64_t f
           retransmit_with_backoff(camera, frame);
         }
         const bool codec_link = camera.framed_link()->config().codec;
-        stats_.record_transport(camera.id(), frame.transport, frame.retransmits,
-                                is_corrupt(frame.transport), codec_link,
+        stats_.record_transport(camera.id(), frame.transport, frame.retransmits, codec_link,
                                 frame.decoded_planes, frame.total_planes);
         if (health_ != nullptr) {
           health_->on_frame(camera, is_corrupt(frame.transport), frame.retransmits);

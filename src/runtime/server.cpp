@@ -95,6 +95,7 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>(i, config_.queue_capacity);
+    shard->series = stats_.shard(i);
     shard->cache = std::make_unique<EngineCache>(
         config_.cache,
         [&system, max_batch, calibration, image](
@@ -108,7 +109,8 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
               calibrate(*system.classifier(), *system.reconstructor(), frames);
           return std::make_shared<QuantizedVitEngine>(
               *system.classifier(), *system.reconstructor(), spec, max_batch);
-        });
+        },
+        shard->series.cache);
     shards_.push_back(std::move(shard));
   }
   if (config_.trace.enabled) {
@@ -309,11 +311,9 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
     emit_frame_lifecycles(*self.lane, batch, infer_start, infer_end);
   }
 
-  stats_.record_batch(batch.size(),
-                      std::chrono::duration<double>(infer_end - infer_start).count(),
-                      reason);
-  stats_.record_task_frames(key.task, batch.size());
-  stats_.record_precision_frames(key.precision, batch.size());
+  stats_.record_batch(self.series, batch.size(),
+                      std::chrono::duration<double>(infer_end - infer_start).count(), reason,
+                      key.task, key.precision);
   for (const Frame& frame : batch) {
     stats_.record_frame_done(
         frame.raw_bytes, frame.wire_bytes,
@@ -325,15 +325,6 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
     if (frame.has_deadline() && infer_end > frame.deadline) {
       stats_.record_deadline_miss(frame.camera_id);
     }
-  }
-  self.counters.frames += batch.size();
-  ++self.counters.batches;
-  switch (reason) {
-    case FlushReason::kMaxBatch: ++self.counters.flush_max_batch; break;
-    case FlushReason::kMaxLatency: ++self.counters.flush_max_latency; break;
-    case FlushReason::kExhausted: ++self.counters.flush_exhausted; break;
-    case FlushReason::kHoldback: ++self.counters.flush_holdback; break;
-    case FlushReason::kSteal: ++self.counters.flush_steal; break;
   }
   // A completed batch is the strongest liveness signal there is.
   self.heartbeat.fetch_add(1, std::memory_order_relaxed);
@@ -432,14 +423,12 @@ void InferenceServer::shard_loop(std::size_t index) {
         bool stole = false;
         for (std::size_t i = 0; i < victim_order.size() && !stole; ++i) {
           Shard& victim = *shards_[victim_order[i].second];
-          ++self.counters.steal_attempts;
+          self.series.steal_probes->add();
           if (victim.queue.steal_tail(batch, config_.batch.max_batch)) {
             const Clock::time_point now = Clock::now();
             for (Frame& frame : batch) {
               frame.dequeue_time = now;
             }
-            ++self.counters.steal_successes;
-            self.counters.stolen_frames += batch.size();
             serve_batch(self,
                         BatchKey{batch.front().pattern_id, batch.front().task,
                                  batch.front().precision, batch.front().decode_depth},
@@ -604,40 +593,12 @@ std::vector<TaskResult> InferenceServer::run(
   scheduler_.join();
   wall_seconds_ = std::chrono::duration<double>(Clock::now() - run_start).count();
 
-  EngineCacheCounters cache_total;
-  CacheTierCounters cache_fp32;
-  CacheTierCounters cache_int8;
-  std::vector<ShardStatsView> views;
-  views.reserve(shards_.size());
   std::size_t total_results = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    shard.counters.shard = i;
-    shard.counters.queue_high_water = shard.queue.high_water_mark();
-    stats_.set_queue_high_water(shard.queue.high_water_mark());
-    // One snapshot per tier; the total is their sum BY CONSTRUCTION (a
-    // separately-locked counters() read could disagree with the tier reads
-    // if a resolve were still in flight).
-    const EngineCacheCounters fp32 = shard.cache->counters(Precision::kFp32);
-    const EngineCacheCounters int8 = shard.cache->counters(Precision::kInt8);
-    shard.counters.cache_hits = fp32.hits + int8.hits;
-    shard.counters.cache_misses = fp32.misses + int8.misses;
-    shard.counters.cache_evictions = fp32.evictions + int8.evictions;
-    cache_total.hits += shard.counters.cache_hits;
-    cache_total.misses += shard.counters.cache_misses;
-    cache_total.evictions += shard.counters.cache_evictions;
-    cache_fp32.hits += fp32.hits;
-    cache_fp32.misses += fp32.misses;
-    cache_fp32.evictions += fp32.evictions;
-    cache_int8.hits += int8.hits;
-    cache_int8.misses += int8.misses;
-    cache_int8.evictions += int8.evictions;
-    views.push_back(shard.counters);
-    total_results += shard.results.size();
+  for (const auto& shard : shards_) {
+    shard->series.queue_high_water->set_max(
+        static_cast<double>(shard->queue.high_water_mark()));
+    total_results += shard->results.size();
   }
-  stats_.set_cache_counters(cache_total.hits, cache_total.misses, cache_total.evictions);
-  stats_.set_cache_tier_counters(cache_fp32, cache_int8);
-  stats_.set_shard_views(std::move(views));
 
   {
     std::lock_guard<std::mutex> lock(worker_error_mutex_);

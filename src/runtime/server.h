@@ -174,7 +174,7 @@ class InferenceServer {
   /// frames_per_camera[i] frames.
   std::vector<TaskResult> run(const std::vector<std::int64_t>& frames_per_camera);
 
-  /// \brief Valid after run(). Includes per-shard views (RuntimeSummary::shards).
+  /// \brief Valid after run(). Includes per-shard rows (RuntimeSummary::shards).
   RuntimeSummary summary() const;
   FleetEnergyReport fleet_energy(const energy::EnergyModel& model,
                                  energy::WirelessTech tech) const;
@@ -203,9 +203,9 @@ class InferenceServer {
   const EngineCache* engine_cache(std::size_t shard = 0) const;
 
  private:
-  /// One consumer shard: run queue + private cache view + worker-owned
-  /// counters and result rows (touched lock-free by exactly one worker
-  /// during a run, merged after the join).
+  /// One consumer shard: run queue + private cache view + its registry
+  /// series + worker-owned result rows (touched lock-free by exactly one
+  /// worker during a run, merged after the join).
   struct Shard {
     explicit Shard(std::size_t shard_index, std::size_t queue_capacity)
         : index(shard_index), queue(queue_capacity) {}
@@ -213,7 +213,7 @@ class InferenceServer {
     FrameQueue queue;
     std::unique_ptr<EngineCache> cache;
     obs::TraceLane* lane = nullptr;  // null when tracing is off
-    ShardStatsView counters;
+    ShardSeries series;  // this shard's {shard="i"} metrics
     std::vector<TaskResult> results;
     // order: relaxed — a pure liveness counter. The worker bumps it every
     // loop iteration; the watchdog only compares successive reads for

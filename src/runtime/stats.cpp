@@ -1,9 +1,9 @@
 #include "runtime/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <map>
+#include <memory>
 
 #include "util/common.h"
 
@@ -11,310 +11,448 @@ namespace snappix::runtime {
 
 namespace {
 
-StageSummary summarize(const obs::Histogram& h) {
+constexpr QosClass kQosClasses[] = {QosClass::kRealtime, QosClass::kStandard,
+                                    QosClass::kBestEffort};
+constexpr ShedReason kShedReasons[] = {ShedReason::kQueueFull, ShedReason::kDeadline};
+constexpr FlushReason kFlushReasons[] = {FlushReason::kMaxBatch, FlushReason::kMaxLatency,
+                                         FlushReason::kExhausted, FlushReason::kHoldback,
+                                         FlushReason::kSteal};
+constexpr Precision kPrecisions[] = {Precision::kFp32, Precision::kInt8};
+// The framed outcomes, in TransportStatus order after kInMemory.
+constexpr TransportStatus kOutcomes[] = {TransportStatus::kFramedOk, TransportStatus::kCrcError,
+                                         TransportStatus::kTruncated,
+                                         TransportStatus::kMissingLines};
+
+std::size_t index_of(QosClass qos) { return static_cast<std::size_t>(qos); }
+std::size_t index_of(ShedReason reason) { return static_cast<std::size_t>(reason); }
+
+// `metric{labels}`: `labels` is a comma-joined list of key="value" pairs.
+std::string series(const char* metric, const std::string& labels) {
+  return std::string(metric) + "{" + labels + "}";
+}
+
+std::string label(const char* key, const std::string& value) {
+  return std::string(key) + "=\"" + value + "\"";
+}
+
+// The value of label `key` in a registry name such as
+// `snappix_batches_total{shard="1",reason="steal"}`; empty when absent.
+std::string label_value(const std::string& name, const std::string& key) {
+  const std::string needle = key + "=\"";
+  for (std::size_t pos = name.find('{'); pos != std::string::npos;
+       pos = name.find(',', pos + 1)) {
+    if (name.compare(pos + 1, needle.size(), needle) == 0) {
+      const std::size_t begin = pos + 1 + needle.size();
+      return name.substr(begin, name.find('"', begin) - begin);
+    }
+  }
+  return "";
+}
+
+StageSummary summarize(const obs::HistogramSnapshot& h) {
   StageSummary out;
-  out.count = static_cast<std::size_t>(h.count());
-  out.mean_ms = h.mean() * 1e3;
-  out.p50_ms = h.percentile(50.0) * 1e3;
-  out.p95_ms = h.percentile(95.0) * 1e3;
-  out.p99_ms = h.percentile(99.0) * 1e3;
+  out.count = static_cast<std::size_t>(h.count);
+  out.mean_ms = h.mean * 1e3;
+  out.p50_ms = h.p50 * 1e3;
+  out.p95_ms = h.p95 * 1e3;
+  out.p99_ms = h.p99 * 1e3;
   return out;
 }
 
+std::uint64_t& flush_field(ShardStatsView& s, const std::string& reason) {
+  std::uint64_t* fields[] = {&s.flush_max_batch, &s.flush_max_latency, &s.flush_exhausted,
+                             &s.flush_holdback, &s.flush_steal};  // FlushReason order
+  for (const FlushReason r : kFlushReasons) {
+    if (reason == to_string(r)) {
+      return *fields[static_cast<std::size_t>(r)];
+    }
+  }
+  return s.flush_max_batch;
+}
+
+// Folds one {shard="i"} counter into its row.
+void add_shard_counter(ShardStatsView& s, RuntimeSummary& out, const std::string& metric,
+                       const std::string& name, std::uint64_t value) {
+  const bool fp32 = label_value(name, "precision") == to_string(Precision::kFp32);
+  EngineCacheCounters& tier = fp32 ? out.cache_fp32 : out.cache_int8;
+  if (metric == "snappix_frames_total") {
+    s.frames += value;
+    (label_value(name, "task") == to_string(Task::kClassify) ? out.classify_frames
+                                                             : out.reconstruct_frames) += value;
+    (fp32 ? out.fp32_frames : out.int8_frames) += value;
+  } else if (metric == "snappix_batches_total") {
+    s.batches += value;
+    flush_field(s, label_value(name, "reason")) += value;
+  } else if (metric == "snappix_stolen_frames_total") {
+    s.stolen_frames += value;
+  } else if (metric == "snappix_steal_probes_total") {
+    s.steal_attempts += value;
+  } else if (metric == "snappix_cache_hits_total") {
+    s.cache_hits += value;
+    tier.hits += value;
+  } else if (metric == "snappix_cache_misses_total") {
+    s.cache_misses += value;
+    tier.misses += value;
+  } else if (metric == "snappix_cache_evictions_total") {
+    s.cache_evictions += value;
+    tier.evictions += value;
+  } else if (metric == "snappix_watchdog_stalls_total") {
+    out.watchdog_stalls += value;
+  }
+}
+
+// The per-camera rows, keyed (and so sorted) by camera id.
+struct CameraRows {
+  std::map<int, ShedCounters> shed;
+  std::map<int, TransportCounters> transport;
+  std::map<int, HealthCounters> health;
+};
+
+// Folds one nonzero {camera="c"} counter into its rows and the fleet totals
+// the rows do not carry (sheds by QoS class).
+void add_camera_counter(CameraRows& rows, RuntimeSummary& out, int camera,
+                        const std::string& metric, const std::string& name,
+                        std::uint64_t value) {
+  if (metric == "snappix_shed_frames_total") {
+    const bool queue_full = label_value(name, "reason") == to_string(ShedReason::kQueueFull);
+    (queue_full ? rows.shed[camera].queue_full : rows.shed[camera].deadline) += value;
+    const std::string qos = label_value(name, "qos");
+    (qos == to_string(QosClass::kRealtime)   ? out.shed_realtime
+     : qos == to_string(QosClass::kStandard) ? out.shed_standard
+                                             : out.shed_best_effort) += value;
+  } else if (metric == "snappix_deadline_miss_total") {
+    rows.shed[camera].deadline_misses += value;
+  } else if (metric == "snappix_transport_frames_total") {
+    TransportCounters& t = rows.transport[camera];
+    const std::string outcome = label_value(name, "outcome");
+    t.framed_frames += value;
+    if (outcome == to_string(TransportStatus::kFramedOk)) {
+      t.ok_frames += value;
+    } else {
+      t.dropped_frames += value;  // a corrupt final outcome is never served
+      (outcome == to_string(TransportStatus::kCrcError)    ? t.crc_errors
+       : outcome == to_string(TransportStatus::kTruncated) ? t.truncated
+                                                           : t.missing_lines) += value;
+    }
+  } else if (metric == "snappix_retransmits_total") {
+    rows.transport[camera].retransmits += value;
+  } else if (metric == "snappix_codec_frames_total") {
+    rows.transport[camera].codec_frames += value;
+  } else if (metric == "snappix_codec_planes_decoded_total") {
+    rows.transport[camera].codec_planes_decoded += value;
+  } else if (metric == "snappix_codec_planes_total") {
+    rows.transport[camera].codec_planes_total += value;
+  } else if (metric == "snappix_health_transitions_total") {
+    rows.health[camera].transitions += value;
+  } else if (metric == "snappix_ladder_steps_total") {
+    HealthCounters& h = rows.health[camera];
+    (label_value(name, "direction") == "down" ? h.steps_down : h.steps_up) += value;
+  } else if (metric == "snappix_quarantine_drops_total") {
+    rows.health[camera].quarantine_drops += value;
+  }
+}
+
 }  // namespace
+
+// One camera's hot-path series, resolved when the camera's first event is
+// recorded. Cold series (health transitions, ladder steps) are resolved by
+// name per event instead.
+struct RuntimeStats::CameraSeries {
+  CameraSeries(obs::MetricsRegistry& registry, int camera_id) : id(camera_id) {
+    const std::string camera = label("camera", std::to_string(camera_id));
+    for (const QosClass qos : kQosClasses) {
+      for (const ShedReason reason : kShedReasons) {
+        shed[index_of(qos)][index_of(reason)] = &registry.counter(
+            series("snappix_shed_frames_total", camera + "," + label("qos", to_string(qos)) +
+                                                    "," + label("reason", to_string(reason))));
+      }
+    }
+    deadline_misses = &registry.counter(series("snappix_deadline_miss_total", camera));
+    for (std::size_t i = 0; i < outcome.size(); ++i) {
+      outcome[i] = &registry.counter(series(
+          "snappix_transport_frames_total",
+          camera + "," + label("outcome", to_string(kOutcomes[i]))));
+    }
+    retransmits = &registry.counter(series("snappix_retransmits_total", camera));
+    codec_frames = &registry.counter(series("snappix_codec_frames_total", camera));
+    planes_decoded = &registry.counter(series("snappix_codec_planes_decoded_total", camera));
+    planes_total = &registry.counter(series("snappix_codec_planes_total", camera));
+    quarantine_drops = &registry.counter(series("snappix_quarantine_drops_total", camera));
+  }
+
+  int id;
+  obs::Counter* shed[3][2] = {};                // [QosClass][ShedReason]
+  obs::Counter* deadline_misses = nullptr;
+  std::array<obs::Counter*, 4> outcome{};       // by kOutcomes
+  obs::Counter* retransmits = nullptr;
+  obs::Counter* codec_frames = nullptr;
+  obs::Counter* planes_decoded = nullptr;
+  obs::Counter* planes_total = nullptr;
+  obs::Counter* quarantine_drops = nullptr;
+  CameraSeries* next = nullptr;  // bucket chain; immutable once published
+};
 
 RuntimeStats::RuntimeStats()
     : capture_(registry_.histogram("snappix_capture_seconds")),
       queue_wait_(registry_.histogram("snappix_queue_wait_seconds")),
       inference_(registry_.histogram("snappix_inference_seconds")),
       end_to_end_(registry_.histogram("snappix_e2e_seconds")),
-      frames_(registry_.counter("snappix_frames_total")),
-      batches_(registry_.counter("snappix_batches_total")),
-      batched_frames_(registry_.counter("snappix_batched_frames_total")),
-      classify_frames_(registry_.counter("snappix_task_frames_total{task=\"classify\"}")),
-      reconstruct_frames_(
-          registry_.counter("snappix_task_frames_total{task=\"reconstruct\"}")),
-      fp32_frames_(registry_.counter("snappix_precision_frames_total{precision=\"fp32\"}")),
-      int8_frames_(registry_.counter("snappix_precision_frames_total{precision=\"int8\"}")),
       raw_bytes_(registry_.counter("snappix_raw_bytes_total")),
       wire_bytes_(registry_.counter("snappix_wire_bytes_total")),
-      deadline_miss_(registry_.counter("snappix_deadline_miss_total")),
-      queue_high_water_(registry_.gauge("snappix_queue_high_water")) {
-  for (const FlushReason reason :
-       {FlushReason::kMaxBatch, FlushReason::kMaxLatency, FlushReason::kExhausted,
-        FlushReason::kHoldback, FlushReason::kSteal}) {
-    flush_[static_cast<std::size_t>(reason)] = &registry_.counter(
-        std::string("snappix_batch_flush_total{reason=\"") + to_string(reason) + "\"}");
+      rerouted_frames_(registry_.counter("snappix_watchdog_rerouted_frames_total")) {
+  for (const QosClass qos : kQosClasses) {
+    e2e_qos_[index_of(qos)] =
+        &registry_.histogram(series("snappix_e2e_seconds", label("qos", to_string(qos))));
   }
-  for (const QosClass qos :
-       {QosClass::kRealtime, QosClass::kStandard, QosClass::kBestEffort}) {
-    for (const ShedReason reason : {ShedReason::kQueueFull, ShedReason::kDeadline}) {
-      shed_[static_cast<std::size_t>(qos)][static_cast<std::size_t>(reason)] =
-          &registry_.counter(std::string("snappix_shed_frames_total{qos=\"") +
-                             to_string(qos) + "\",reason=\"" + to_string(reason) + "\"}");
+}
+
+RuntimeStats::~RuntimeStats() {
+  for (auto& bucket : cameras_) {
+    // Each node was released from a unique_ptr in camera(); take it back.
+    for (CameraSeries* node = bucket.load(std::memory_order_acquire); node != nullptr;) {
+      const std::unique_ptr<CameraSeries> owned(node);
+      node = node->next;
     }
-    e2e_qos_[static_cast<std::size_t>(qos)] = &registry_.histogram(
-        std::string("snappix_e2e_seconds{qos=\"") + to_string(qos) + "\"}");
   }
+}
+
+RuntimeStats::CameraSeries& RuntimeStats::camera(int camera_id) {
+  auto& bucket = cameras_[static_cast<unsigned>(camera_id) % kCameraBuckets];
+  CameraSeries* head = bucket.load(std::memory_order_acquire);
+  for (;;) {
+    for (CameraSeries* node = head; node != nullptr; node = node->next) {
+      if (node->id == camera_id) {
+        return *node;
+      }
+    }
+    // First event of this camera: resolve its series (cold, once). A racing
+    // first event may win the CAS; the loser re-walks the new chain and
+    // finds the winner's node (the registry handed both the same counters).
+    auto fresh = std::make_unique<CameraSeries>(registry_, camera_id);
+    fresh->next = head;
+    if (bucket.compare_exchange_strong(head, fresh.get(), std::memory_order_release,
+                                       std::memory_order_acquire)) {
+      return *fresh.release();
+    }
+  }
+}
+
+ShardSeries RuntimeStats::shard(std::size_t index) {
+  const std::string shard = label("shard", std::to_string(index));
+  ShardSeries out;
+  for (const Task task : {Task::kClassify, Task::kReconstruct}) {
+    for (const Precision precision : kPrecisions) {
+      out.frames[static_cast<std::size_t>(task)][static_cast<std::size_t>(precision)] =
+          &registry_.counter(series("snappix_frames_total",
+                                    shard + "," + label("task", to_string(task)) + "," +
+                                        label("precision", to_string(precision))));
+    }
+  }
+  for (const FlushReason reason : kFlushReasons) {
+    out.batches[static_cast<std::size_t>(reason)] = &registry_.counter(
+        series("snappix_batches_total", shard + "," + label("reason", to_string(reason))));
+  }
+  out.stolen_frames = &registry_.counter(series("snappix_stolen_frames_total", shard));
+  out.steal_probes = &registry_.counter(series("snappix_steal_probes_total", shard));
+  out.queue_high_water = &registry_.gauge(series("snappix_queue_high_water", shard));
+  for (const Precision precision : kPrecisions) {
+    const std::string labels = shard + "," + label("precision", to_string(precision));
+    out.cache[static_cast<std::size_t>(precision)] = CacheTierSeries{
+        &registry_.counter(series("snappix_cache_hits_total", labels)),
+        &registry_.counter(series("snappix_cache_misses_total", labels)),
+        &registry_.counter(series("snappix_cache_evictions_total", labels))};
+  }
+  return out;
 }
 
 void RuntimeStats::record_capture(double seconds) { capture_.observe(seconds); }
 
 void RuntimeStats::record_queue_wait(double seconds) { queue_wait_.observe(seconds); }
 
-void RuntimeStats::record_batch(std::size_t batch_size, double inference_seconds,
-                                FlushReason reason) {
-  batches_.add();
-  batched_frames_.add(batch_size);
-  flush_[static_cast<std::size_t>(reason)]->add();
+void RuntimeStats::record_batch(const ShardSeries& shard, std::size_t batch_size,
+                                double inference_seconds, FlushReason reason, Task task,
+                                Precision precision) {
+  shard.frames[static_cast<std::size_t>(task)][static_cast<std::size_t>(precision)]->add(
+      batch_size);
+  shard.batches[static_cast<std::size_t>(reason)]->add();
+  if (reason == FlushReason::kSteal) {
+    shard.stolen_frames->add(batch_size);
+  }
   inference_.observe(inference_seconds);
 }
 
-void RuntimeStats::record_task_frames(Task task, std::size_t count) {
-  (task == Task::kClassify ? classify_frames_ : reconstruct_frames_).add(count);
-}
-
-void RuntimeStats::record_precision_frames(Precision precision, std::size_t count) {
-  (precision == Precision::kFp32 ? fp32_frames_ : int8_frames_).add(count);
-}
-
 void RuntimeStats::record_transport(int camera_id, TransportStatus status, int retransmits,
-                                    bool dropped, bool codec, int decoded_planes,
-                                    int total_planes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TransportCounters& c = transport_[camera_id];
-  ++c.framed_frames;
-  switch (status) {
-    case TransportStatus::kFramedOk:
-      ++c.ok_frames;
-      break;
-    case TransportStatus::kCrcError:
-      ++c.crc_errors;
-      break;
-    case TransportStatus::kTruncated:
-      ++c.truncated;
-      break;
-    case TransportStatus::kMissingLines:
-      ++c.missing_lines;
-      break;
-    default:
-      break;  // kInMemory frames are never recorded here
-  }
-  c.retransmits += static_cast<std::uint64_t>(retransmits);
-  if (dropped) {
-    ++c.dropped_frames;
-  }
+                                    bool codec, int decoded_planes, int total_planes) {
+  SNAPPIX_CHECK(status != TransportStatus::kInMemory,
+                "record_transport takes framed outcomes only");
+  CameraSeries& c = camera(camera_id);
+  c.outcome[static_cast<std::size_t>(status) - 1]->add();
+  c.retransmits->add(static_cast<std::uint64_t>(retransmits));
   if (codec) {
-    ++c.codec_frames;
-    c.codec_planes_decoded += static_cast<std::uint64_t>(decoded_planes);
-    c.codec_planes_total += static_cast<std::uint64_t>(total_planes);
+    c.codec_frames->add();
+    c.planes_decoded->add(static_cast<std::uint64_t>(decoded_planes));
+    c.planes_total->add(static_cast<std::uint64_t>(total_planes));
   }
 }
 
 void RuntimeStats::record_shed(int camera_id, QosClass qos, ShedReason reason) {
-  shed_[static_cast<std::size_t>(qos)][static_cast<std::size_t>(reason)]->add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ShedCounters& c = shed_cameras_[camera_id];
-  if (reason == ShedReason::kQueueFull) {
-    ++c.queue_full;
-  } else {
-    ++c.deadline;
-  }
+  camera(camera_id).shed[index_of(qos)][index_of(reason)]->add();
 }
 
 void RuntimeStats::record_deadline_miss(int camera_id) {
-  deadline_miss_.add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++shed_cameras_[camera_id].deadline_misses;
+  camera(camera_id).deadline_misses->add();
 }
 
 void RuntimeStats::record_health_transition(int camera_id, HealthState from,
                                             HealthState to) {
-  // Cold path (a handful of events per run at most): labeled counters are
-  // resolved by name on demand instead of pre-building the 4x4 matrix.
-  registry_.counter(std::string("snappix_health_transitions_total{from=\"") +
-                    to_string(from) + "\",to=\"" + to_string(to) + "\"}")
+  const std::string camera = label("camera", std::to_string(camera_id));
+  registry_
+      .counter(series("snappix_health_transitions_total",
+                      camera + "," + label("from", to_string(from)) + "," +
+                          label("to", to_string(to))))
       .add();
-  registry_.gauge(std::string("snappix_camera_health{camera=\"") +
-                  std::to_string(camera_id) + "\"}")
-      .set(static_cast<double>(to));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++health_cameras_[camera_id].transitions;
+  registry_.gauge(series("snappix_camera_health", camera)).set(static_cast<double>(to));
 }
 
 void RuntimeStats::record_ladder_step(int camera_id, bool down, int step) {
-  registry_.counter(std::string("snappix_ladder_steps_total{direction=\"") +
-                    (down ? "down" : "up") + "\"}")
+  const std::string camera = label("camera", std::to_string(camera_id));
+  registry_
+      .counter(series("snappix_ladder_steps_total",
+                      camera + "," + label("direction", down ? "down" : "up")))
       .add();
-  registry_.gauge(std::string("snappix_camera_ladder_step{camera=\"") +
-                  std::to_string(camera_id) + "\"}")
-      .set(static_cast<double>(step));
-  std::lock_guard<std::mutex> lock(mutex_);
-  HealthCounters& c = health_cameras_[camera_id];
-  ++(down ? c.steps_down : c.steps_up);
+  registry_.gauge(series("snappix_camera_ladder_step", camera)).set(static_cast<double>(step));
 }
 
 void RuntimeStats::record_quarantine_drop(int camera_id) {
-  registry_.counter("snappix_quarantine_drops_total").add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++health_cameras_[camera_id].quarantine_drops;
+  camera(camera_id).quarantine_drops->add();
 }
 
 void RuntimeStats::record_watchdog_stall(std::size_t shard) {
-  registry_.counter(std::string("snappix_watchdog_stalls_total{shard=\"") +
-                    std::to_string(shard) + "\"}")
+  registry_.counter(series("snappix_watchdog_stalls_total", label("shard", std::to_string(shard))))
       .add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++watchdog_stalls_;
 }
 
-void RuntimeStats::record_rerouted_frames(std::size_t count) {
-  registry_.counter("snappix_watchdog_rerouted_frames_total").add(count);
-  std::lock_guard<std::mutex> lock(mutex_);
-  rerouted_frames_ += count;
-}
+void RuntimeStats::record_rerouted_frames(std::size_t count) { rerouted_frames_.add(count); }
 
 void RuntimeStats::record_frame_done(std::uint64_t raw_bytes, std::uint64_t wire_bytes,
                                      double end_to_end_seconds, QosClass qos) {
-  frames_.add();
   raw_bytes_.add(raw_bytes);
   wire_bytes_.add(wire_bytes);
   end_to_end_.observe(end_to_end_seconds);
-  e2e_qos_[static_cast<std::size_t>(qos)]->observe(end_to_end_seconds);
-}
-
-void RuntimeStats::set_queue_high_water(std::size_t depth) {
-  queue_high_water_.set_max(static_cast<double>(depth));
-}
-
-void RuntimeStats::set_cache_counters(std::uint64_t hits, std::uint64_t misses,
-                                      std::uint64_t evictions) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_hits_ = hits;
-  cache_misses_ = misses;
-  cache_evictions_ = evictions;
-}
-
-void RuntimeStats::set_cache_tier_counters(const CacheTierCounters& fp32,
-                                           const CacheTierCounters& int8) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_fp32_ = fp32;
-  cache_int8_ = int8;
-}
-
-void RuntimeStats::set_shard_views(std::vector<ShardStatsView> shards) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  shards_ = std::move(shards);
+  e2e_qos_[index_of(qos)]->observe(end_to_end_seconds);
 }
 
 RuntimeSummary RuntimeStats::summary(double wall_seconds) const {
+  const obs::MetricsSnapshot snap = registry_.snapshot();
   RuntimeSummary out;
-  const std::uint64_t frames = frames_.value();
-  const std::uint64_t batches = batches_.value();
-  const std::uint64_t batched_frames = batched_frames_.value();
-  const std::uint64_t raw_bytes = raw_bytes_.value();
-  const std::uint64_t wire_bytes = wire_bytes_.value();
-  out.frames = frames;
-  out.batches = batches;
-  out.wall_seconds = wall_seconds;
-  out.aggregate_fps =
-      wall_seconds > 0.0 ? static_cast<double>(frames) / wall_seconds : 0.0;
-  out.mean_batch_size =
-      batches > 0 ? static_cast<double>(batched_frames) / static_cast<double>(batches) : 0.0;
-  out.queue_high_water = static_cast<std::size_t>(queue_high_water_.value());
-  out.classify_frames = classify_frames_.value();
-  out.reconstruct_frames = reconstruct_frames_.value();
-  out.fp32_frames = fp32_frames_.value();
-  out.int8_frames = int8_frames_.value();
-  out.flush_max_batch = flush_[static_cast<std::size_t>(FlushReason::kMaxBatch)]->value();
-  out.flush_max_latency =
-      flush_[static_cast<std::size_t>(FlushReason::kMaxLatency)]->value();
-  out.flush_exhausted = flush_[static_cast<std::size_t>(FlushReason::kExhausted)]->value();
-  out.flush_holdback = flush_[static_cast<std::size_t>(FlushReason::kHoldback)]->value();
-  out.flush_steal = flush_[static_cast<std::size_t>(FlushReason::kSteal)]->value();
-  out.capture = summarize(capture_);
-  out.queue_wait = summarize(queue_wait_);
-  out.inference = summarize(inference_);
-  out.end_to_end = summarize(end_to_end_);
-  out.e2e_realtime = summarize(*e2e_qos_[static_cast<std::size_t>(QosClass::kRealtime)]);
-  out.e2e_standard = summarize(*e2e_qos_[static_cast<std::size_t>(QosClass::kStandard)]);
-  out.e2e_best_effort =
-      summarize(*e2e_qos_[static_cast<std::size_t>(QosClass::kBestEffort)]);
-  for (const QosClass qos :
-       {QosClass::kRealtime, QosClass::kStandard, QosClass::kBestEffort}) {
-    std::uint64_t by_qos = 0;
-    for (const ShedReason reason : {ShedReason::kQueueFull, ShedReason::kDeadline}) {
-      const std::uint64_t n =
-          shed_[static_cast<std::size_t>(qos)][static_cast<std::size_t>(reason)]->value();
-      by_qos += n;
-      (reason == ShedReason::kQueueFull ? out.shed_queue_full : out.shed_deadline) += n;
+  std::map<std::size_t, ShardStatsView> shards;
+  CameraRows rows;
+  for (const auto& [name, value] : snap.counters) {
+    const std::string metric = name.substr(0, name.find('{'));
+    const std::string shard = label_value(name, "shard");
+    const std::string camera = label_value(name, "camera");
+    if (!shard.empty()) {
+      ShardStatsView& row = shards[std::stoul(shard)];
+      row.shard = std::stoul(shard);
+      add_shard_counter(row, out, metric, name, value);
+    } else if (!camera.empty()) {
+      if (value > 0) {  // a camera row exists only once something happened to it
+        add_camera_counter(rows, out, std::stoi(camera), metric, name, value);
+      }
+    } else if (metric == "snappix_raw_bytes_total") {
+      out.raw_bytes = value;
+    } else if (metric == "snappix_wire_bytes_total") {
+      out.wire_bytes = value;
+    } else if (metric == "snappix_watchdog_rerouted_frames_total") {
+      out.rerouted_frames = value;
     }
-    switch (qos) {
-      case QosClass::kRealtime: out.shed_realtime = by_qos; break;
-      case QosClass::kStandard: out.shed_standard = by_qos; break;
-      case QosClass::kBestEffort: out.shed_best_effort = by_qos; break;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    const std::string shard = label_value(name, "shard");
+    if (name.rfind("snappix_queue_high_water{", 0) == 0 && !shard.empty()) {
+      shards[std::stoul(shard)].queue_high_water = static_cast<std::size_t>(value);
     }
+  }
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    const std::string qos = label_value(h.name, "qos");
+    StageSummary* stage = h.name == "snappix_capture_seconds"      ? &out.capture
+                          : h.name == "snappix_queue_wait_seconds" ? &out.queue_wait
+                          : h.name == "snappix_inference_seconds"  ? &out.inference
+                          : h.name == "snappix_e2e_seconds"        ? &out.end_to_end
+                          : qos == to_string(QosClass::kRealtime)  ? &out.e2e_realtime
+                          : qos == to_string(QosClass::kStandard)  ? &out.e2e_standard
+                          : qos == to_string(QosClass::kBestEffort) ? &out.e2e_best_effort
+                                                                    : nullptr;
+    if (stage != nullptr) {
+      *stage = summarize(h);
+    }
+  }
+
+  for (auto& [index, s] : shards) {
+    s.steal_successes = s.flush_steal;  // a successful probe IS a steal-flushed batch
+    out.frames += s.frames;
+    out.batches += s.batches;
+    out.flush_max_batch += s.flush_max_batch;
+    out.flush_max_latency += s.flush_max_latency;
+    out.flush_exhausted += s.flush_exhausted;
+    out.flush_holdback += s.flush_holdback;
+    out.flush_steal += s.flush_steal;
+    out.steal_attempts += s.steal_attempts;
+    out.steal_successes += s.steal_successes;
+    out.stolen_frames += s.stolen_frames;
+    out.queue_high_water = std::max(out.queue_high_water, s.queue_high_water);
+    out.shards.push_back(s);
+  }
+  out.cache_hits = out.cache_fp32.hits + out.cache_int8.hits;
+  out.cache_misses = out.cache_fp32.misses + out.cache_int8.misses;
+  out.cache_evictions = out.cache_fp32.evictions + out.cache_int8.evictions;
+  for (const auto& [camera, c] : rows.shed) {
+    out.shed_queue_full += c.queue_full;
+    out.shed_deadline += c.deadline;
+    out.deadline_misses += c.deadline_misses;
+    out.shed_cameras.emplace_back(camera, c);
   }
   out.shed_frames = out.shed_queue_full + out.shed_deadline;
-  out.deadline_misses = deadline_miss_.value();
-  out.raw_bytes = raw_bytes;
-  out.wire_bytes = wire_bytes;
-  out.compression_ratio =
-      wire_bytes > 0 ? static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes) : 0.0;
+  for (const auto& [camera, c] : rows.transport) {
+    out.transport.framed_frames += c.framed_frames;
+    out.transport.ok_frames += c.ok_frames;
+    out.transport.crc_errors += c.crc_errors;
+    out.transport.truncated += c.truncated;
+    out.transport.missing_lines += c.missing_lines;
+    out.transport.retransmits += c.retransmits;
+    out.transport.dropped_frames += c.dropped_frames;
+    out.transport.codec_frames += c.codec_frames;
+    out.transport.codec_planes_decoded += c.codec_planes_decoded;
+    out.transport.codec_planes_total += c.codec_planes_total;
+    out.transport_cameras.emplace_back(camera, c);
+  }
+  for (const auto& [camera, c] : rows.health) {
+    out.health_transitions += c.transitions;
+    out.ladder_steps_down += c.steps_down;
+    out.ladder_steps_up += c.steps_up;
+    out.quarantine_drops += c.quarantine_drops;
+    out.health_cameras.emplace_back(camera, c);
+  }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.cache_fp32 = cache_fp32_;
-  out.cache_int8 = cache_int8_;
-  out.cache_hits = cache_hits_;
-  out.cache_misses = cache_misses_;
-  out.cache_evictions = cache_evictions_;
-  const std::uint64_t lookups = cache_hits_ + cache_misses_;
-  out.cache_hit_rate =
-      lookups > 0 ? static_cast<double>(cache_hits_) / static_cast<double>(lookups) : 0.0;
-  out.shards = shards_;
-  for (const ShardStatsView& shard : shards_) {
-    out.steal_attempts += shard.steal_attempts;
-    out.steal_successes += shard.steal_successes;
-    out.stolen_frames += shard.stolen_frames;
-  }
-  for (const auto& [camera_id, counters] : shed_cameras_) {
-    out.shed_cameras.emplace_back(camera_id, counters);
-  }
-  out.watchdog_stalls = watchdog_stalls_;
-  out.rerouted_frames = rerouted_frames_;
-  for (const auto& [camera_id, counters] : health_cameras_) {
-    out.health_cameras.emplace_back(camera_id, counters);
-    out.health_transitions += counters.transitions;
-    out.ladder_steps_down += counters.steps_down;
-    out.ladder_steps_up += counters.steps_up;
-    out.quarantine_drops += counters.quarantine_drops;
-  }
-  for (const auto& [camera_id, counters] : transport_) {
-    out.transport_cameras.emplace_back(camera_id, counters);
-    out.transport.framed_frames += counters.framed_frames;
-    out.transport.ok_frames += counters.ok_frames;
-    out.transport.crc_errors += counters.crc_errors;
-    out.transport.truncated += counters.truncated;
-    out.transport.missing_lines += counters.missing_lines;
-    out.transport.retransmits += counters.retransmits;
-    out.transport.dropped_frames += counters.dropped_frames;
-    out.transport.codec_frames += counters.codec_frames;
-    out.transport.codec_planes_decoded += counters.codec_planes_decoded;
-    out.transport.codec_planes_total += counters.codec_planes_total;
-  }
+  const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+    return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+  };
+  out.wall_seconds = wall_seconds;
+  out.aggregate_fps = wall_seconds > 0.0 ? static_cast<double>(out.frames) / wall_seconds : 0.0;
+  out.mean_batch_size = ratio(out.frames, out.batches);
+  out.cache_hit_rate = ratio(out.cache_hits, out.cache_hits + out.cache_misses);
+  out.compression_ratio = ratio(out.raw_bytes, out.wire_bytes);
   return out;
 }
 
 FleetEnergyReport RuntimeStats::fleet_energy(const energy::EnergyModel& model,
                                              std::int64_t pixels_per_frame, int slots,
                                              energy::WirelessTech tech) const {
-  const std::uint64_t frames = frames_.value();
+  const double frames = static_cast<double>(summary(0.0).frames);
   FleetEnergyReport report;
   report.conventional_j =
-      static_cast<double>(frames) *
-      model.conventional_edge_energy_j(pixels_per_frame, slots, tech);
-  report.snappix_j = static_cast<double>(frames) *
-                     model.snappix_edge_energy_j(pixels_per_frame, slots, tech);
+      frames * model.conventional_edge_energy_j(pixels_per_frame, slots, tech);
+  report.snappix_j = frames * model.snappix_edge_energy_j(pixels_per_frame, slots, tech);
   report.saving_factor =
       report.snappix_j > 0.0 ? report.conventional_j / report.snappix_j : 0.0;
   return report;
@@ -470,143 +608,6 @@ std::string to_string(const RuntimeSummary& s) {
     }
   }
   return out;
-}
-
-std::string to_json(const CacheTierCounters& c) {
-  std::ostringstream os;
-  os << "{\"hits\": " << c.hits << ", \"misses\": " << c.misses
-     << ", \"evictions\": " << c.evictions << "}";
-  return os.str();
-}
-
-std::string to_json(const HealthCounters& c) {
-  std::ostringstream os;
-  os << "{\"transitions\": " << c.transitions << ", \"steps_down\": " << c.steps_down
-     << ", \"steps_up\": " << c.steps_up
-     << ", \"quarantine_drops\": " << c.quarantine_drops << "}";
-  return os.str();
-}
-
-std::string to_json(const TransportCounters& c) {
-  std::ostringstream os;
-  os << "{\"framed_frames\": " << c.framed_frames << ", \"ok_frames\": " << c.ok_frames
-     << ", \"crc_errors\": " << c.crc_errors << ", \"truncated\": " << c.truncated
-     << ", \"missing_lines\": " << c.missing_lines
-     << ", \"retransmits\": " << c.retransmits
-     << ", \"dropped_frames\": " << c.dropped_frames
-     << ", \"codec_frames\": " << c.codec_frames
-     << ", \"codec_planes_decoded\": " << c.codec_planes_decoded
-     << ", \"codec_planes_total\": " << c.codec_planes_total << "}";
-  return os.str();
-}
-
-std::string to_json(const ShedCounters& c) {
-  std::ostringstream os;
-  os << "{\"queue_full\": " << c.queue_full << ", \"deadline\": " << c.deadline
-     << ", \"deadline_misses\": " << c.deadline_misses << "}";
-  return os.str();
-}
-
-std::string to_json(const ShardStatsView& s) {
-  std::ostringstream os;
-  os << "{\"shard\": " << s.shard << ", \"frames\": " << s.frames
-     << ", \"batches\": " << s.batches << ", \"steal_attempts\": " << s.steal_attempts
-     << ", \"steal_successes\": " << s.steal_successes
-     << ", \"stolen_frames\": " << s.stolen_frames << ", \"cache_hits\": " << s.cache_hits
-     << ", \"cache_misses\": " << s.cache_misses
-     << ", \"cache_evictions\": " << s.cache_evictions
-     << ", \"queue_high_water\": " << s.queue_high_water
-     << ", \"flush_max_batch\": " << s.flush_max_batch
-     << ", \"flush_max_latency\": " << s.flush_max_latency
-     << ", \"flush_exhausted\": " << s.flush_exhausted
-     << ", \"flush_holdback\": " << s.flush_holdback
-     << ", \"flush_steal\": " << s.flush_steal << "}";
-  return os.str();
-}
-
-std::string to_json(const RuntimeSummary& s, const FleetEnergyReport& energy,
-                    const std::string& label) {
-  // Every double goes through obs::json_number: an empty run's 0s and any
-  // non-finite ratio render as valid JSON, never "nan"/"inf".
-  const auto num = [](double v) { return obs::json_number(v); };
-  std::ostringstream os;
-  os << "{\"label\": \"" << label << "\", \"frames\": " << s.frames
-     << ", \"batches\": " << s.batches << ", \"wall_seconds\": " << num(s.wall_seconds)
-     << ", \"aggregate_fps\": " << num(s.aggregate_fps)
-     << ", \"mean_batch_size\": " << num(s.mean_batch_size)
-     << ", \"queue_high_water\": " << s.queue_high_water
-     << ", \"capture_p50_ms\": " << num(s.capture.p50_ms)
-     << ", \"capture_p95_ms\": " << num(s.capture.p95_ms)
-     << ", \"capture_p99_ms\": " << num(s.capture.p99_ms)
-     << ", \"queue_wait_p50_ms\": " << num(s.queue_wait.p50_ms)
-     << ", \"queue_wait_p95_ms\": " << num(s.queue_wait.p95_ms)
-     << ", \"queue_wait_p99_ms\": " << num(s.queue_wait.p99_ms)
-     << ", \"inference_p50_ms\": " << num(s.inference.p50_ms)
-     << ", \"inference_p95_ms\": " << num(s.inference.p95_ms)
-     << ", \"inference_p99_ms\": " << num(s.inference.p99_ms)
-     << ", \"e2e_p50_ms\": " << num(s.end_to_end.p50_ms)
-     << ", \"e2e_p95_ms\": " << num(s.end_to_end.p95_ms)
-     << ", \"e2e_p99_ms\": " << num(s.end_to_end.p99_ms)
-     << ", \"raw_bytes\": " << s.raw_bytes
-     << ", \"wire_bytes\": " << s.wire_bytes
-     << ", \"compression_ratio\": " << num(s.compression_ratio)
-     << ", \"flush_max_batch\": " << s.flush_max_batch
-     << ", \"flush_max_latency\": " << s.flush_max_latency
-     << ", \"flush_exhausted\": " << s.flush_exhausted
-     << ", \"flush_holdback\": " << s.flush_holdback
-     << ", \"flush_steal\": " << s.flush_steal
-     << ", \"classify_frames\": " << s.classify_frames
-     << ", \"reconstruct_frames\": " << s.reconstruct_frames
-     << ", \"fp32_frames\": " << s.fp32_frames << ", \"int8_frames\": " << s.int8_frames
-     << ", \"cache_hits\": " << s.cache_hits << ", \"cache_misses\": " << s.cache_misses
-     << ", \"cache_evictions\": " << s.cache_evictions
-     << ", \"cache_hit_rate\": " << num(s.cache_hit_rate)
-     << ", \"cache_fp32\": " << to_json(s.cache_fp32)
-     << ", \"cache_int8\": " << to_json(s.cache_int8)
-     << ", \"steal_attempts\": " << s.steal_attempts
-     << ", \"steal_successes\": " << s.steal_successes
-     << ", \"stolen_frames\": " << s.stolen_frames << ", \"shards\": [";
-  for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    os << (i > 0 ? ", " : "") << to_json(s.shards[i]);
-  }
-  os << "]"
-     << ", \"shed_frames\": " << s.shed_frames
-     << ", \"shed_queue_full\": " << s.shed_queue_full
-     << ", \"shed_deadline\": " << s.shed_deadline
-     << ", \"shed_realtime\": " << s.shed_realtime
-     << ", \"shed_standard\": " << s.shed_standard
-     << ", \"shed_best_effort\": " << s.shed_best_effort
-     << ", \"deadline_misses\": " << s.deadline_misses
-     << ", \"e2e_realtime_p99_ms\": " << num(s.e2e_realtime.p99_ms)
-     << ", \"e2e_standard_p99_ms\": " << num(s.e2e_standard.p99_ms)
-     << ", \"e2e_best_effort_p99_ms\": " << num(s.e2e_best_effort.p99_ms)
-     << ", \"shed_cameras\": [";
-  for (std::size_t i = 0; i < s.shed_cameras.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "{\"camera_id\": " << s.shed_cameras[i].first
-       << ", \"counters\": " << to_json(s.shed_cameras[i].second) << "}";
-  }
-  os << "]"
-     << ", \"transport\": " << to_json(s.transport) << ", \"transport_cameras\": [";
-  for (std::size_t i = 0; i < s.transport_cameras.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "{\"camera_id\": " << s.transport_cameras[i].first
-       << ", \"counters\": " << to_json(s.transport_cameras[i].second) << "}";
-  }
-  os << "]"
-     << ", \"health_transitions\": " << s.health_transitions
-     << ", \"ladder_steps_down\": " << s.ladder_steps_down
-     << ", \"ladder_steps_up\": " << s.ladder_steps_up
-     << ", \"quarantine_drops\": " << s.quarantine_drops
-     << ", \"watchdog_stalls\": " << s.watchdog_stalls
-     << ", \"rerouted_frames\": " << s.rerouted_frames << ", \"health_cameras\": [";
-  for (std::size_t i = 0; i < s.health_cameras.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "{\"camera_id\": " << s.health_cameras[i].first
-       << ", \"counters\": " << to_json(s.health_cameras[i].second) << "}";
-  }
-  os << "]"
-     << ", \"energy_conventional_j\": " << num(energy.conventional_j)
-     << ", \"energy_snappix_j\": " << num(energy.snappix_j)
-     << ", \"energy_saving_factor\": " << num(energy.saving_factor) << "}";
-  return os.str();
 }
 
 }  // namespace snappix::runtime

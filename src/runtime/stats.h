@@ -1,59 +1,35 @@
 /// \file stats.h
-/// \brief RuntimeStats: thread-safe per-stage instrumentation for the
-/// streaming runtime, plus the bridge into the Sec. VI-D energy model.
+/// \brief RuntimeStats: the serving tier's one metrics plane, plus the
+/// bridge into the Sec. VI-D energy model.
 ///
-/// RuntimeStats is a VIEW over an obs::MetricsRegistry it owns: every frame/
-/// batch/byte counter is a registry Counter and every latency series a
-/// registry Histogram, so the hot-path record_* methods are lock-free
-/// (relaxed atomics) and the registry can be snapshotted MID-RUN — that is
-/// what InferenceServer::metrics_snapshot() hands out, in JSON or Prometheus
-/// form via obs::to_json / obs::to_prometheus. The only mutex left guards
-/// the cold structures: the per-camera transport map and the post-run
-/// installs (shard views, cache counters).
+/// RuntimeStats owns an obs::MetricsRegistry and records every serving event
+/// ONCE, into one registry series: fleet-wide counters and latency
+/// histograms, per-shard series labeled {shard="i"} and per-camera series
+/// labeled {camera="c"} (docs/observability.md lists every name). Recording
+/// is lock-free: each hot-path series is resolved by name once (a shard's in
+/// shard(), a camera's at its first event) and recorded through relaxed
+/// atomics after that, so no name is built per frame or per batch.
 ///
-/// summary() condenses the registry into percentiles/throughput — including
-/// per-shard views (queue depth, batches served, steal traffic, per-reason
-/// batch flush counts, cache hit/miss) installed by the sharded
-/// InferenceServer — and fleet_energy() prices the recorded traffic with
+/// summary() is a pure function of one registry snapshot, i.e. of exactly
+/// what InferenceServer::metrics_snapshot() exports through obs::to_json /
+/// obs::to_prometheus. fleet_energy() prices the recorded traffic with
 /// energy::EnergyModel so a streaming run reports the same
 /// baseline-vs-SNAPPIX numbers as the static scenario calculators.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "energy/model.h"
 #include "obs/metrics.h"
+#include "runtime/engine_cache.h"
 #include "runtime/frame.h"
 
 namespace snappix::runtime {
-
-/// \brief Latency series with percentile queries (seconds), backed by a
-/// fixed-bucket obs::Histogram (the same representation the metrics registry
-/// serves), so record() is lock-free and count-independent in memory.
-///
-/// Empty-series contract (pinned by tests/test_obs.cpp): count 0 reports 0
-/// for mean and every percentile — never NaN or infinity — so zero-frame
-/// runs render valid JSON. Percentiles interpolate linearly inside the
-/// bucket holding the rank and clamp into [min, max] observed; p50 <= p95 <=
-/// p99 always.
-class LatencySeries {
- public:
-  void record(double seconds) { histogram_.observe(seconds); }
-  std::size_t count() const { return static_cast<std::size_t>(histogram_.count()); }
-  double mean() const { return histogram_.mean(); }
-  /// \brief Interpolated percentile, `p` in [0, 100]; 0 when empty.
-  double percentile(double p) const { return histogram_.percentile(p); }
-
-  const obs::Histogram& histogram() const { return histogram_; }
-
- private:
-  obs::Histogram histogram_;
-};
 
 /// \brief Condensed view of one pipeline stage's latency series.
 struct StageSummary {
@@ -64,8 +40,8 @@ struct StageSummary {
   double p99_ms = 0.0;
 };
 
-/// \brief One consumer shard's share of a run, as installed by the sharded
-/// InferenceServer after the workers join.
+/// \brief One consumer shard's share of a run, rebuilt by summary() from the
+/// shard's {shard="i"} series.
 ///
 /// `frames`/`batches` count everything THIS shard's worker served, including
 /// batches it stole; `steal_*` describe its thieving (attempts = victim
@@ -92,16 +68,6 @@ struct ShardStatsView {
   std::uint64_t flush_exhausted = 0;
   std::uint64_t flush_holdback = 0;
   std::uint64_t flush_steal = 0;
-};
-
-/// \brief One precision tier's EngineCache traffic (hits/misses/evictions
-/// summed over every shard's cache view for that tier). The serving tier
-/// keeps fp32 and int8 engines as distinct cache residents, so the split
-/// shows which tier's working set is thrashing.
-struct CacheTierCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
 };
 
 /// \brief One camera's overload tally: frames the runtime shed instead of
@@ -158,13 +124,11 @@ struct RuntimeSummary {
   double mean_batch_size = 0.0;
   std::size_t queue_high_water = 0;  ///< max over all shard queues
 
-  /// Per-task frame counts (classify + reconstruct == frames when the server
-  /// records tasks; both zero under direct RuntimeStats use).
+  /// Per-task frame counts (classify + reconstruct == frames).
   std::uint64_t classify_frames = 0;
   std::uint64_t reconstruct_frames = 0;
 
-  /// Per-precision frame counts (fp32 + int8 == frames when the server
-  /// records precisions; both zero under direct RuntimeStats use).
+  /// Per-precision frame counts (fp32 + int8 == frames).
   std::uint64_t fp32_frames = 0;
   std::uint64_t int8_frames = 0;
 
@@ -176,23 +140,23 @@ struct RuntimeSummary {
   double cache_hit_rate = 0.0;  ///< hits / (hits + misses)
 
   /// The same cache traffic split by precision tier (fp32 + int8 == totals).
-  CacheTierCounters cache_fp32;
-  CacheTierCounters cache_int8;
+  EngineCacheCounters cache_fp32;
+  EngineCacheCounters cache_int8;
 
   /// Work-stealing totals summed over shards (all zero with one shard).
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_successes = 0;
   std::uint64_t stolen_frames = 0;
 
-  /// Batch flush reasons, run-wide (sum over reasons == batches when every
-  /// record_batch carried a reason; all under kMaxBatch for legacy callers).
+  /// Batch flush reasons, run-wide (sum over reasons == batches).
   std::uint64_t flush_max_batch = 0;
   std::uint64_t flush_max_latency = 0;
   std::uint64_t flush_exhausted = 0;
   std::uint64_t flush_holdback = 0;
   std::uint64_t flush_steal = 0;
 
-  /// Per-shard breakdown; empty unless a sharded server installed views.
+  /// Per-shard breakdown, one row per shard whose series were resolved
+  /// (every shard of a server), sorted by shard index.
   std::vector<ShardStatsView> shards;
 
   /// Framed-transport totals summed over cameras (all zero when every frame
@@ -251,82 +215,81 @@ struct FleetEnergyReport {
   double saving_factor = 0.0;
 };
 
-/// \brief Thread-safe run-wide counters. Producers, shard workers, and the
-/// server all record into one instance. The record_* hot paths write
-/// registry counters/histograms lock-free; the cold installs and the
-/// transport map lock internally.
+/// \brief One consumer shard's registry series ({shard="i"}), resolved once
+/// by RuntimeStats::shard(). The serving loop records through these
+/// pointers; summary() reads the same series back by name.
+struct ShardSeries {
+  /// snappix_frames_total{task,precision}, indexed [Task][Precision].
+  std::array<std::array<obs::Counter*, 2>, 2> frames{};
+  std::array<obs::Counter*, 5> batches{};  ///< snappix_batches_total{reason}, by FlushReason
+  obs::Counter* stolen_frames = nullptr;   ///< snappix_stolen_frames_total
+  obs::Counter* steal_probes = nullptr;    ///< snappix_steal_probes_total
+  obs::Gauge* queue_high_water = nullptr;  ///< snappix_queue_high_water
+  CacheSeries cache;  ///< snappix_cache_{hits,misses,evictions}_total{precision}
+};
+
+/// \brief Thread-safe run-wide recorder. Producers, shard workers, the
+/// health controller and the watchdog all record into one instance; every
+/// record_* call is lock-free and increments one registry series per fact.
 class RuntimeStats {
  public:
   RuntimeStats();
+  ~RuntimeStats();
+  RuntimeStats(const RuntimeStats&) = delete;
+  RuntimeStats& operator=(const RuntimeStats&) = delete;
+
+  /// \brief Resolves shard `index`'s series, creating them (a shard row in
+  /// summary()) on first call. Cold: names are built here, once per shard.
+  ShardSeries shard(std::size_t index);
 
   // --- producer side ---------------------------------------------------------
   void record_capture(double seconds);
 
   // --- consumer side (any shard worker) --------------------------------------
   void record_queue_wait(double seconds);
-  /// \brief `reason` feeds the per-reason flush counters
-  /// (snappix_batch_flush_total{reason=...}); legacy callers without a
-  /// batching policy default to kMaxBatch.
-  void record_batch(std::size_t batch_size, double inference_seconds,
-                    FlushReason reason = FlushReason::kMaxBatch);
-  /// \brief Attributes a served batch's frames to its task head.
-  void record_task_frames(Task task, std::size_t count);
-  /// \brief Attributes a served batch's frames to its precision tier.
-  void record_precision_frames(Precision precision, std::size_t count);
-  /// \brief Records one framed frame's FINAL transport fate: its last
-  /// outcome (`status`), the retries the policy spent on it, and whether it
-  /// was dropped instead of enqueued. Called once per framed frame by the
-  /// producer loop; never for in-memory cameras. When the frame crossed an
-  /// entropy-coded link, pass `codec = true` plus the frame's
-  /// decoded/total bit-plane counts to feed the progressive-decode tally;
-  /// raw-link callers leave the defaults.
+  /// \brief One batch served by `shard`: its frames by task head and
+  /// precision tier, its flush reason (kSteal batches also count as stolen
+  /// frames) and its inference time.
+  void record_batch(const ShardSeries& shard, std::size_t batch_size,
+                    double inference_seconds, FlushReason reason = FlushReason::kMaxBatch,
+                    Task task = Task::kClassify, Precision precision = Precision::kFp32);
+  /// \brief Records one framed frame's FINAL transport outcome (`status`,
+  /// never kInMemory) and the retries the policy spent on it. A corrupt
+  /// final outcome is a dropped frame. Called once per framed frame by the
+  /// producer loop. When the frame crossed an entropy-coded link, pass
+  /// `codec = true` plus its decoded/total bit-plane counts.
   void record_transport(int camera_id, TransportStatus status, int retransmits,
-                        bool dropped, bool codec = false, int decoded_planes = 0,
-                        int total_planes = 0);
-  /// \brief Records one shed frame: bumps the per-(qos, reason) registry
-  /// counter (snappix_shed_frames_total{qos=...,reason=...}) and the
-  /// camera's ShedCounters row. Called by the queue shed observers the
-  /// scheduler/server install — once per shed, on whichever thread shed it.
+                        bool codec = false, int decoded_planes = 0, int total_planes = 0);
+  /// \brief Records one shed frame into
+  /// snappix_shed_frames_total{camera,qos,reason}. Called by the queue shed
+  /// observers, once per shed, on whichever thread shed it.
   void record_shed(int camera_id, QosClass qos, ShedReason reason);
   /// \brief Records a frame that was SERVED but finished after its deadline
   /// — a late answer delivered, distinct from a drop-late shed.
   void record_deadline_miss(int camera_id);
-  /// \brief Records a camera health-state transition (runtime/health.h):
-  /// bumps snappix_health_transitions_total{from=...,to=...}, sets the
-  /// camera's snappix_camera_health gauge, and the per-camera tally. Called
-  /// by the HealthController on the camera's producer thread.
+  /// \brief Records a camera health-state transition (runtime/health.h) into
+  /// snappix_health_transitions_total{camera,from,to} and sets the camera's
+  /// snappix_camera_health gauge. Cold: at most once per window per camera.
   void record_health_transition(int camera_id, HealthState from, HealthState to);
   /// \brief Records a degradation-ladder move to `step` rungs engaged
-  /// (`down` = a degradation, else a recovery step): bumps
-  /// snappix_ladder_steps_total{direction=...} and sets the camera's
-  /// snappix_camera_ladder_step gauge.
+  /// (`down` = a degradation) into snappix_ladder_steps_total{camera,direction}
+  /// and sets the camera's snappix_camera_ladder_step gauge. Cold.
   void record_ladder_step(int camera_id, bool down, int step);
   /// \brief Records one capture skipped because its camera is quarantined.
   void record_quarantine_drop(int camera_id);
-  /// \brief Records the watchdog declaring shard `shard` stalled.
+  /// \brief Records the watchdog declaring shard `shard` stalled. Cold.
   void record_watchdog_stall(std::size_t shard);
   /// \brief Records `count` frames the watchdog drained from a stalled shard
   /// and re-admitted into a sibling's queue.
   void record_rerouted_frames(std::size_t count);
   /// \brief `qos` additionally feeds the per-class e2e histogram
-  /// (snappix_e2e_seconds{qos=...}); legacy callers without QoS default to
+  /// (snappix_e2e_seconds{qos=...}); callers without QoS default to
   /// kStandard.
   void record_frame_done(std::uint64_t raw_bytes, std::uint64_t wire_bytes,
                          double end_to_end_seconds, QosClass qos = QosClass::kStandard);
-  /// \brief Raises the recorded high water to `depth` (max over calls, so the
-  /// server feeds it each shard queue's own mark).
-  void set_queue_high_water(std::size_t depth);
-  /// \brief Installs the final cache snapshot (summed over shard caches by
-  /// the server); the EngineCache itself keeps the live counters.
-  void set_cache_counters(std::uint64_t hits, std::uint64_t misses, std::uint64_t evictions);
-  /// \brief Installs the per-precision cache split (fp32 + int8 must sum to
-  /// the totals installed by set_cache_counters).
-  void set_cache_tier_counters(const CacheTierCounters& fp32, const CacheTierCounters& int8);
-  /// \brief Installs the per-shard views once after a run; also derives the
-  /// steal totals reported in RuntimeSummary.
-  void set_shard_views(std::vector<ShardStatsView> shards);
 
   // --- reporting -------------------------------------------------------------
+  /// \brief Rebuilds every total and row from one registry snapshot.
   RuntimeSummary summary(double wall_seconds) const;
 
   /// \brief The live metrics registry backing every record_* path. Safe to
@@ -344,6 +307,10 @@ class RuntimeStats {
                                  energy::WirelessTech tech) const;
 
  private:
+  struct CameraSeries;  // one camera's hot-path series (stats.cpp)
+  /// The camera's series, resolved on its first event.
+  CameraSeries& camera(int camera_id);
+
   obs::MetricsRegistry registry_;
   // References resolved once at construction; recording through them is
   // lock-free (see obs/metrics.h).
@@ -351,46 +318,22 @@ class RuntimeStats {
   obs::Histogram& queue_wait_;
   obs::Histogram& inference_;
   obs::Histogram& end_to_end_;
-  obs::Counter& frames_;
-  obs::Counter& batches_;
-  obs::Counter& batched_frames_;
-  obs::Counter& classify_frames_;
-  obs::Counter& reconstruct_frames_;
-  obs::Counter& fp32_frames_;
-  obs::Counter& int8_frames_;
   obs::Counter& raw_bytes_;
   obs::Counter& wire_bytes_;
-  obs::Counter* flush_[5];      // indexed by FlushReason
-  obs::Counter* shed_[3][2];    // indexed by [QosClass][ShedReason]
-  obs::Counter& deadline_miss_;
-  obs::Histogram* e2e_qos_[3];  // indexed by QosClass
-  obs::Gauge& queue_high_water_;
+  obs::Counter& rerouted_frames_;
+  std::array<obs::Histogram*, 3> e2e_qos_{};  // indexed by QosClass
 
-  // Cold structures: per-camera transport/shed tallies and post-run installs.
-  mutable std::mutex mutex_;
-  CacheTierCounters cache_fp32_;
-  CacheTierCounters cache_int8_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_evictions_ = 0;
-  std::vector<ShardStatsView> shards_;
-  std::map<int, TransportCounters> transport_;  // camera_id -> tally (sorted)
-  std::map<int, ShedCounters> shed_cameras_;    // camera_id -> tally (sorted)
-  std::map<int, HealthCounters> health_cameras_;  // camera_id -> tally (sorted)
-  std::uint64_t watchdog_stalls_ = 0;
-  std::uint64_t rerouted_frames_ = 0;
+  // Lock-free, grow-only index from camera id to its series: bucket
+  // `id % kCameraBuckets` heads a singly-linked chain whose nodes are
+  // immutable once published. An index, not a store: the counts live in
+  // registry_.
+  static constexpr std::size_t kCameraBuckets = 64;
+  // order: release CAS publishes a fully built node (and its `next` link)
+  // as the new bucket head; readers acquire-load the head before walking.
+  std::array<std::atomic<CameraSeries*>, kCameraBuckets> cameras_{};
 };
 
-/// \brief Renders a summary as an aligned human-readable block / flat JSON
-/// object (used by bench/streaming_throughput.cpp to emit the BENCH_*.json
-/// artifacts). The JSON carries the per-shard views as a "shards" array.
+/// \brief Renders a summary as an aligned human-readable block.
 std::string to_string(const RuntimeSummary& summary);
-std::string to_json(const CacheTierCounters& counters);
-std::string to_json(const HealthCounters& counters);
-std::string to_json(const TransportCounters& counters);
-std::string to_json(const ShedCounters& counters);
-std::string to_json(const ShardStatsView& shard);
-std::string to_json(const RuntimeSummary& summary, const FleetEnergyReport& energy,
-                    const std::string& label);
 
 }  // namespace snappix::runtime

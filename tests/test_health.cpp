@@ -335,10 +335,12 @@ TEST(HealthPlumbing, SummaryAggregatesHealthCountersPerCamera) {
   EXPECT_EQ(summary.health_cameras[0].second.transitions, 1U);
   EXPECT_EQ(summary.health_cameras[0].second.quarantine_drops, 1U);
 
-  // The counters render into both human and JSON reports.
+  // The counters render into the human report, and the registry export
+  // carries the one series they were rebuilt from.
   EXPECT_NE(runtime::to_string(summary).find("health"), std::string::npos);
-  EXPECT_NE(runtime::to_json(summary, runtime::FleetEnergyReport{}, "test")
-                .find("\"health_transitions\": 1"),
+  EXPECT_NE(obs::to_json(stats.registry().snapshot())
+                .find("\"snappix_health_transitions_total{camera=\\\"11\\\",from=\\\"healthy\\\","
+                      "to=\\\"quarantined\\\"}\": 1"),
             std::string::npos);
 }
 

@@ -5,6 +5,8 @@
 // zero-frame summaries render valid JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,7 +76,10 @@ TEST(ObsHistogram, PercentilesInterpolateWithinTheRightBucket) {
   EXPECT_LE(h.percentile(50.0), 0.050 + 1e-12);
   EXPECT_GT(h.percentile(99.0), 0.050);
   EXPECT_LE(h.percentile(99.0), 0.100 + 1e-12);
-  EXPECT_NEAR(h.mean(), 0.0505, 1e-12);
+  EXPECT_LE(h.percentile(50.0), h.percentile(95.0));
+  EXPECT_LE(h.percentile(95.0), h.percentile(99.0));
+  EXPECT_EQ(h.count(), 100U);
+  EXPECT_NEAR(h.mean(), 0.0505, 1e-12);  // the mean is exact: sum / count
 }
 
 TEST(ObsHistogram, PercentileMonotoneAndClampedToObservedRange) {
@@ -110,36 +116,6 @@ TEST(ObsHistogram, NonFiniteObservationsAreIgnored) {
   h.observe(0.5);
   EXPECT_EQ(h.count(), 1U);
   EXPECT_NEAR(h.percentile(50.0), 0.5, 1e-12);
-}
-
-// --- runtime::LatencySeries (view over the histogram) ------------------------
-
-TEST(LatencySeries, EmptyThenSingleSample) {
-  runtime::LatencySeries series;
-  EXPECT_EQ(series.count(), 0U);
-  EXPECT_EQ(series.mean(), 0.0);
-  EXPECT_EQ(series.percentile(50.0), 0.0);
-  EXPECT_EQ(series.percentile(99.0), 0.0);
-
-  series.record(0.010);
-  EXPECT_EQ(series.count(), 1U);
-  EXPECT_NEAR(series.mean(), 0.010, 1e-12);
-  EXPECT_NEAR(series.percentile(50.0), 0.010, 1e-12);
-  EXPECT_NEAR(series.percentile(99.0), 0.010, 1e-12);
-}
-
-TEST(LatencySeries, PercentileOrderingHolds) {
-  runtime::LatencySeries series;
-  Rng rng(11);
-  for (int i = 0; i < 500; ++i) {
-    series.record(1e-4 + 0.05 * rng.uniform());
-  }
-  const double p50 = series.percentile(50.0);
-  const double p95 = series.percentile(95.0);
-  const double p99 = series.percentile(99.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GT(p50, 0.0);
 }
 
 // --- registry + exporters ----------------------------------------------------
@@ -208,12 +184,28 @@ TEST(MetricsExport, JsonNumberNeverEmitsNonFinite) {
 TEST(MetricsExport, PrometheusTextCarriesLabelsAndCumulativeBuckets) {
   obs::MetricsRegistry registry;
   registry.counter("snappix_batch_flush_total{reason=\"steal\"}").add(2);
+  registry.counter("snappix_batch_flush_total{reason=\"max_batch\"}").add(1);
   obs::Histogram& h = registry.histogram("snappix_e2e_seconds");
   h.observe(0.5e-6);  // below the first bound
   h.observe(0.012);
+  registry.histogram("snappix_e2e_seconds{qos=\"realtime\"}").observe(0.003);
 
   const std::string text = obs::to_prometheus(registry.snapshot());
-  EXPECT_NE(text.find("# TYPE snappix_batch_flush_total counter"), std::string::npos);
+  // Exactly one TYPE line per family, however many labeled series it has
+  // (the text format rejects a second TYPE line for a metric name).
+  const auto occurrences = [&text](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("# TYPE snappix_batch_flush_total counter"), 1U);
+  EXPECT_EQ(occurrences("# TYPE snappix_e2e_seconds histogram"), 1U);
+  EXPECT_NE(text.find("snappix_batch_flush_total{reason=\"max_batch\"} 1"), std::string::npos);
+  EXPECT_NE(text.find("snappix_e2e_seconds_bucket{qos=\"realtime\",le=\"+Inf\"} 1"),
+            std::string::npos);
   EXPECT_NE(text.find("snappix_batch_flush_total{reason=\"steal\"} 2"), std::string::npos);
   EXPECT_NE(text.find("# TYPE snappix_e2e_seconds histogram"), std::string::npos);
   EXPECT_NE(text.find("snappix_e2e_seconds_bucket{le=\"+Inf\"} 2"), std::string::npos);
@@ -240,11 +232,10 @@ TEST(ZeroFrameRun, SummaryToStringAndJsonAreNanFree) {
         << "non-finite value rendered at offset " << pos;
   }
 
-  // The JSON artifact path: must parse, and json_lite rejects bare nan/inf
-  // tokens outright, so parsing IS the contract check.
-  const std::string js =
-      runtime::to_json(summary, runtime::FleetEnergyReport{}, "zero_frames");
-  EXPECT_NO_THROW(json::parse(js));
+  // The JSON artifact path is the registry export: it must parse, and
+  // json_lite rejects bare nan/inf tokens outright, so parsing IS the
+  // contract check.
+  EXPECT_NO_THROW(json::parse(obs::to_json(stats.registry().snapshot())));
 }
 
 // --- trace recorder ----------------------------------------------------------
@@ -489,26 +480,23 @@ TEST(ServerTracing, SampledFramesGetCompleteLifecyclesAndBitsDontChange) {
   const json::Value root = json::parse(server->trace_json());
   EXPECT_FALSE(root.at("traceEvents").array.empty());
 
-  // Metrics surfaced through the same run: counters match the run shape and
-  // flush reasons partition the batches.
+  // Metrics surfaced through the same run: the per-shard series sum to the
+  // run shape, and the flush-reason series are the batch count.
   const obs::MetricsSnapshot snap = server->metrics_snapshot();
   std::uint64_t frames_total = 0;
-  std::uint64_t flush_total = 0;
   std::uint64_t batches_total = 0;
   for (const auto& [name, value] : snap.counters) {
-    if (name == "snappix_frames_total") {
-      frames_total = value;
-    } else if (name == "snappix_batches_total") {
-      batches_total = value;
-    } else if (name.rfind("snappix_batch_flush_total", 0) == 0) {
-      flush_total += value;
+    if (name.rfind("snappix_frames_total{", 0) == 0) {
+      frames_total += value;
+    } else if (name.rfind("snappix_batches_total{", 0) == 0) {
+      batches_total += value;
     }
   }
   EXPECT_EQ(frames_total, 24U);
   EXPECT_GT(batches_total, 0U);
-  EXPECT_EQ(flush_total, batches_total);
 
   const runtime::RuntimeSummary summary = server->summary();
+  EXPECT_EQ(summary.batches, batches_total);
   EXPECT_EQ(summary.flush_max_batch + summary.flush_max_latency +
                 summary.flush_exhausted + summary.flush_holdback + summary.flush_steal,
             summary.batches);
@@ -554,8 +542,265 @@ TEST(ServerTracing, MetricsSnapshotRendersBothExportFormats) {
   const obs::MetricsSnapshot snap = server.metrics_snapshot();
   EXPECT_NO_THROW(json::parse(obs::to_json(snap)));
   const std::string prom = obs::to_prometheus(snap);
-  EXPECT_NE(prom.find("snappix_frames_total 8"), std::string::npos);
+  for (const char* task : {"classify", "reconstruct"}) {  // one camera each, 4 frames
+    EXPECT_NE(prom.find(std::string("snappix_frames_total{shard=\"0\",task=\"") + task +
+                        "\",precision=\"fp32\"} 4"),
+              std::string::npos)
+        << task;
+  }
   EXPECT_NE(prom.find("snappix_e2e_seconds_bucket"), std::string::npos);
+}
+
+// The single-plane contract, end to end: everything server.summary() reports
+// — every fleet total, every per-shard row and every per-camera row — can be
+// rebuilt from the exported JSON alone. The run exercises every series
+// family: two stealing shards, lossy framed links with retransmits and
+// drops, drop-late sheds under a tight deadline budget, late-served misses,
+// and health transitions driven by the lossy links.
+TEST(MetricsPlane, ExportRebuildsEverySummaryTotalAndRow) {
+  core::SnapPixSystem system(small_system_config());
+  const auto patterns = distinct_patterns(4, 83);
+  constexpr std::int64_t kFrames = 40;
+
+  ServerConfig config;
+  config.batch.max_batch = 4;
+  config.shards = 2;
+  config.queue_capacity = 4;
+  config.deadline_budget = std::chrono::milliseconds(2);
+  config.transport.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
+  config.transport.max_retransmits = 1;
+  config.health.enabled = true;
+  config.health.window = 4;
+  // Every batch outlasts the deadline budget, so frames queued behind it
+  // expire (drop-late sheds) and the batch itself finishes late (misses).
+  config.before_batch = [](std::size_t, const runtime::BatchKey&, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  InferenceServer server(system, config);
+  for (int cam = 0; cam < 4; ++cam) {
+    auto camera = std::make_unique<runtime::SyntheticCameraSource>(
+        cam, small_scene(), patterns[static_cast<std::size_t>(cam)],
+        800 + static_cast<std::uint64_t>(cam));
+    if (cam < 2) {  // lossy links: retransmits, final drops, health transitions
+      transport::LinkConfig link;
+      link.faults.packet_drop_rate = 0.05;
+      link.faults.seed = 60 + static_cast<std::uint64_t>(cam);
+      camera->set_framed(link);
+    }
+    server.add_camera(std::move(camera));
+  }
+  const std::vector<TaskResult> results = server.run(kFrames);
+  const runtime::RuntimeSummary summary = server.summary();
+  const json::Value root = json::parse(obs::to_json(server.metrics_snapshot()));
+  const json::Value& counters = root.at("counters");
+
+  // Sum of the counters named `metric` carrying every `key="value"` label
+  // in `match`.
+  using Labels = std::vector<std::pair<std::string, std::string>>;
+  const auto sum = [&counters](const std::string& metric, const Labels& match = {}) {
+    std::uint64_t total = 0;
+    for (const auto& [name, value] : counters.object) {
+      if (name != metric && name.rfind(metric + "{", 0) != 0) {
+        continue;
+      }
+      bool matches = true;
+      for (const auto& [key, want] : match) {
+        const std::string label = key + "=\"" + want + "\"";
+        matches &= name.find("{" + label) != std::string::npos ||
+                   name.find("," + label) != std::string::npos;
+      }
+      total += matches ? static_cast<std::uint64_t>(value.number) : 0U;
+    }
+    return total;
+  };
+
+  // The run exercised every family (non-vacuous).
+  EXPECT_GT(sum("snappix_steal_probes_total"), 0U);
+  EXPECT_GT(sum("snappix_retransmits_total"), 0U);
+  EXPECT_GT(sum("snappix_transport_frames_total") -
+                sum("snappix_transport_frames_total", {{"outcome", "framed_ok"}}),
+            0U);
+  EXPECT_GT(sum("snappix_shed_frames_total", {{"reason", "deadline"}}), 0U);
+  EXPECT_GT(sum("snappix_deadline_miss_total"), 0U);
+  EXPECT_GT(sum("snappix_health_transitions_total"), 0U);
+
+  // Fleet totals.
+  EXPECT_EQ(summary.frames, sum("snappix_frames_total"));
+  EXPECT_EQ(summary.frames, results.size());
+  EXPECT_EQ(summary.batches, sum("snappix_batches_total"));
+  EXPECT_EQ(summary.flush_max_batch, sum("snappix_batches_total", {{"reason", "max_batch"}}));
+  EXPECT_EQ(summary.flush_max_latency,
+            sum("snappix_batches_total", {{"reason", "max_latency"}}));
+  EXPECT_EQ(summary.flush_exhausted, sum("snappix_batches_total", {{"reason", "exhausted"}}));
+  EXPECT_EQ(summary.flush_holdback, sum("snappix_batches_total", {{"reason", "holdback"}}));
+  EXPECT_EQ(summary.flush_steal, sum("snappix_batches_total", {{"reason", "steal"}}));
+  EXPECT_EQ(summary.steal_attempts, sum("snappix_steal_probes_total"));
+  EXPECT_EQ(summary.steal_successes, sum("snappix_batches_total", {{"reason", "steal"}}));
+  EXPECT_EQ(summary.stolen_frames, sum("snappix_stolen_frames_total"));
+  EXPECT_EQ(summary.classify_frames, sum("snappix_frames_total", {{"task", "classify"}}));
+  EXPECT_EQ(summary.reconstruct_frames, sum("snappix_frames_total", {{"task", "reconstruct"}}));
+  EXPECT_EQ(summary.fp32_frames, sum("snappix_frames_total", {{"precision", "fp32"}}));
+  EXPECT_EQ(summary.int8_frames, sum("snappix_frames_total", {{"precision", "int8"}}));
+  EXPECT_EQ(summary.raw_bytes, sum("snappix_raw_bytes_total"));
+  EXPECT_EQ(summary.wire_bytes, sum("snappix_wire_bytes_total"));
+  for (const auto& [tier, precision] :
+       {std::make_pair(&summary.cache_fp32, "fp32"), std::make_pair(&summary.cache_int8, "int8")}) {
+    EXPECT_EQ(tier->hits, sum("snappix_cache_hits_total", {{"precision", precision}}));
+    EXPECT_EQ(tier->misses, sum("snappix_cache_misses_total", {{"precision", precision}}));
+    EXPECT_EQ(tier->evictions, sum("snappix_cache_evictions_total", {{"precision", precision}}));
+  }
+  EXPECT_EQ(summary.cache_hits, sum("snappix_cache_hits_total"));
+  EXPECT_EQ(summary.cache_misses, sum("snappix_cache_misses_total"));
+  EXPECT_EQ(summary.cache_evictions, sum("snappix_cache_evictions_total"));
+  EXPECT_EQ(summary.shed_frames, sum("snappix_shed_frames_total"));
+  EXPECT_EQ(summary.shed_queue_full, sum("snappix_shed_frames_total", {{"reason", "queue_full"}}));
+  EXPECT_EQ(summary.shed_deadline, sum("snappix_shed_frames_total", {{"reason", "deadline"}}));
+  EXPECT_EQ(summary.shed_realtime, sum("snappix_shed_frames_total", {{"qos", "realtime"}}));
+  EXPECT_EQ(summary.shed_standard, sum("snappix_shed_frames_total", {{"qos", "standard"}}));
+  EXPECT_EQ(summary.shed_best_effort,
+            sum("snappix_shed_frames_total", {{"qos", "best_effort"}}));
+  EXPECT_EQ(summary.deadline_misses, sum("snappix_deadline_miss_total"));
+  EXPECT_EQ(summary.health_transitions, sum("snappix_health_transitions_total"));
+  EXPECT_EQ(summary.ladder_steps_down, sum("snappix_ladder_steps_total", {{"direction", "down"}}));
+  EXPECT_EQ(summary.ladder_steps_up, sum("snappix_ladder_steps_total", {{"direction", "up"}}));
+  EXPECT_EQ(summary.quarantine_drops, sum("snappix_quarantine_drops_total"));
+  EXPECT_EQ(summary.watchdog_stalls, sum("snappix_watchdog_stalls_total"));
+  EXPECT_EQ(summary.rerouted_frames, sum("snappix_watchdog_rerouted_frames_total"));
+  const std::uint64_t framed = sum("snappix_transport_frames_total");
+  const std::uint64_t ok = sum("snappix_transport_frames_total", {{"outcome", "framed_ok"}});
+  EXPECT_EQ(summary.transport.framed_frames, framed);
+  EXPECT_EQ(summary.transport.ok_frames, ok);
+  EXPECT_EQ(summary.transport.crc_errors,
+            sum("snappix_transport_frames_total", {{"outcome", "crc_error"}}));
+  EXPECT_EQ(summary.transport.truncated,
+            sum("snappix_transport_frames_total", {{"outcome", "truncated"}}));
+  EXPECT_EQ(summary.transport.missing_lines,
+            sum("snappix_transport_frames_total", {{"outcome", "missing_lines"}}));
+  EXPECT_EQ(summary.transport.dropped_frames, framed - ok);
+  EXPECT_EQ(summary.transport.retransmits, sum("snappix_retransmits_total"));
+  EXPECT_EQ(summary.transport.codec_frames, sum("snappix_codec_frames_total"));
+  EXPECT_EQ(summary.transport.codec_planes_decoded, sum("snappix_codec_planes_decoded_total"));
+  EXPECT_EQ(summary.transport.codec_planes_total, sum("snappix_codec_planes_total"));
+  const json::Value& histograms = root.at("histograms");
+  for (const auto& [stage, name] :
+       {std::make_pair(&summary.capture, "snappix_capture_seconds"),
+        std::make_pair(&summary.queue_wait, "snappix_queue_wait_seconds"),
+        std::make_pair(&summary.inference, "snappix_inference_seconds"),
+        std::make_pair(&summary.end_to_end, "snappix_e2e_seconds")}) {
+    EXPECT_EQ(stage->count, static_cast<std::size_t>(histograms.at(name).at("count").number))
+        << name;
+    EXPECT_NEAR(stage->mean_ms, histograms.at(name).at("mean").number * 1e3,
+                1e-6 * stage->mean_ms) << name;
+  }
+
+  // Per-shard rows.
+  ASSERT_EQ(summary.shards.size(), 2U);
+  std::size_t queue_high_water = 0;
+  for (const runtime::ShardStatsView& row : summary.shards) {
+    const std::string shard = std::to_string(row.shard);
+    const auto in_shard = [&shard](Labels more = {}) {
+      more.emplace_back("shard", shard);
+      return more;
+    };
+    EXPECT_EQ(row.frames, sum("snappix_frames_total", in_shard()));
+    EXPECT_EQ(row.batches, sum("snappix_batches_total", in_shard()));
+    EXPECT_EQ(row.flush_max_batch,
+              sum("snappix_batches_total", in_shard({{"reason", "max_batch"}})));
+    EXPECT_EQ(row.flush_max_latency,
+              sum("snappix_batches_total", in_shard({{"reason", "max_latency"}})));
+    EXPECT_EQ(row.flush_exhausted,
+              sum("snappix_batches_total", in_shard({{"reason", "exhausted"}})));
+    EXPECT_EQ(row.flush_holdback,
+              sum("snappix_batches_total", in_shard({{"reason", "holdback"}})));
+    EXPECT_EQ(row.flush_steal, sum("snappix_batches_total", in_shard({{"reason", "steal"}})));
+    EXPECT_EQ(row.steal_successes, row.flush_steal);
+    EXPECT_EQ(row.steal_attempts, sum("snappix_steal_probes_total", in_shard()));
+    EXPECT_EQ(row.stolen_frames, sum("snappix_stolen_frames_total", in_shard()));
+    EXPECT_EQ(row.cache_hits, sum("snappix_cache_hits_total", in_shard()));
+    EXPECT_EQ(row.cache_misses, sum("snappix_cache_misses_total", in_shard()));
+    EXPECT_EQ(row.cache_evictions, sum("snappix_cache_evictions_total", in_shard()));
+    const double hw =
+        root.at("gauges").at("snappix_queue_high_water{shard=\"" + shard + "\"}").number;
+    EXPECT_EQ(row.queue_high_water, static_cast<std::size_t>(hw));
+    queue_high_water = std::max(queue_high_water, row.queue_high_water);
+  }
+  EXPECT_EQ(summary.queue_high_water, queue_high_water);
+
+  // Per-camera rows: a row exists exactly for the cameras with a nonzero
+  // series of its family; conservation closes over the export plus results.
+  std::map<int, std::uint64_t> served;
+  for (const TaskResult& r : results) {
+    ++served[r.camera_id];
+  }
+  std::size_t shed_rows = 0;
+  std::size_t transport_rows = 0;
+  std::size_t health_rows = 0;
+  for (int cam = 0; cam < 4; ++cam) {
+    const Labels c = {{"camera", std::to_string(cam)}};
+    const auto with = [&c](const std::string& key, const std::string& value) {
+      Labels more = c;
+      more.emplace_back(key, value);
+      return more;
+    };
+    runtime::ShedCounters shed;
+    shed.queue_full = sum("snappix_shed_frames_total", with("reason", "queue_full"));
+    shed.deadline = sum("snappix_shed_frames_total", with("reason", "deadline"));
+    shed.deadline_misses = sum("snappix_deadline_miss_total", c);
+    runtime::TransportCounters t;
+    t.framed_frames = sum("snappix_transport_frames_total", c);
+    t.ok_frames = sum("snappix_transport_frames_total", with("outcome", "framed_ok"));
+    t.crc_errors = sum("snappix_transport_frames_total", with("outcome", "crc_error"));
+    t.truncated = sum("snappix_transport_frames_total", with("outcome", "truncated"));
+    t.missing_lines = sum("snappix_transport_frames_total", with("outcome", "missing_lines"));
+    t.dropped_frames = t.framed_frames - t.ok_frames;
+    t.retransmits = sum("snappix_retransmits_total", c);
+    runtime::HealthCounters h;
+    h.transitions = sum("snappix_health_transitions_total", c);
+    h.steps_down = sum("snappix_ladder_steps_total", with("direction", "down"));
+    h.steps_up = sum("snappix_ladder_steps_total", with("direction", "up"));
+    h.quarantine_drops = sum("snappix_quarantine_drops_total", c);
+
+    for (const auto& [id, row] : summary.shed_cameras) {
+      if (id == cam) {
+        ++shed_rows;
+        EXPECT_EQ(row.queue_full, shed.queue_full) << "camera " << cam;
+        EXPECT_EQ(row.deadline, shed.deadline) << "camera " << cam;
+        EXPECT_EQ(row.deadline_misses, shed.deadline_misses) << "camera " << cam;
+      }
+    }
+    for (const auto& [id, row] : summary.transport_cameras) {
+      if (id == cam) {
+        ++transport_rows;
+        EXPECT_EQ(row.framed_frames, t.framed_frames) << "camera " << cam;
+        EXPECT_EQ(row.ok_frames, t.ok_frames) << "camera " << cam;
+        EXPECT_EQ(row.crc_errors, t.crc_errors) << "camera " << cam;
+        EXPECT_EQ(row.truncated, t.truncated) << "camera " << cam;
+        EXPECT_EQ(row.missing_lines, t.missing_lines) << "camera " << cam;
+        EXPECT_EQ(row.dropped_frames, t.dropped_frames) << "camera " << cam;
+        EXPECT_EQ(row.retransmits, t.retransmits) << "camera " << cam;
+      }
+    }
+    for (const auto& [id, row] : summary.health_cameras) {
+      if (id == cam) {
+        ++health_rows;
+        EXPECT_EQ(row.transitions, h.transitions) << "camera " << cam;
+        EXPECT_EQ(row.steps_down, h.steps_down) << "camera " << cam;
+        EXPECT_EQ(row.steps_up, h.steps_up) << "camera " << cam;
+        EXPECT_EQ(row.quarantine_drops, h.quarantine_drops) << "camera " << cam;
+      }
+    }
+    shed_rows -= (shed.queue_full + shed.deadline + shed.deadline_misses) > 0 ? 1U : 0U;
+    transport_rows -= t.framed_frames > 0 ? 1U : 0U;
+    health_rows -= (h.transitions + h.steps_down + h.steps_up + h.quarantine_drops) > 0 ? 1U : 0U;
+    EXPECT_EQ(served[cam] + shed.queue_full + shed.deadline + t.dropped_frames +
+                  h.quarantine_drops,
+              static_cast<std::uint64_t>(kFrames))
+        << "camera " << cam;
+  }
+  // Every row matched a camera with activity, and every active camera had a row.
+  EXPECT_EQ(shed_rows, 0U);
+  EXPECT_EQ(transport_rows, 0U);
+  EXPECT_EQ(health_rows, 0U);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -673,7 +675,9 @@ TEST(ShardedServer, ShardCountNeverChangesBitsOnHeterogeneousFleet) {
 
 // A skewed fleet — one hot camera pouring frames while seven cold cameras
 // trickle — must (a) record successful steals (idle shards relieving the hot
-// one) and (b) stay bit-identical to the single-consumer run.
+// one) and (b) stay bit-identical to the single-consumer run. The hot shard
+// holds its batches until a sibling has served a stolen one, so a backlog to
+// steal always exists however the threads are scheduled.
 TEST(ShardedServer, SkewedFleetStealsWorkAndStaysBitIdentical) {
   core::SnapPixSystem system(small_system_config());
   const auto patterns = distinct_patterns(8, 71);
@@ -695,11 +699,29 @@ TEST(ShardedServer, SkewedFleetStealsWorkAndStaysBitIdentical) {
     }
   }
 
+  std::mutex steal_mutex;
+  std::condition_variable steal_cv;
+  bool steal_served = false;  // guarded by steal_mutex
   const auto run_with_shards = [&](std::size_t shards) {
     ServerConfig config;
     config.batch.max_batch = 4;
     config.queue_capacity = 8;  // small: keeps the hot producer under backpressure
     config.shards = shards;
+    const std::size_t hot_shard = patterns[0]->hash() % shards;
+    if (shards > 1) {
+      config.before_batch = [&, hot_shard, shards](std::size_t shard,
+                                                   const runtime::BatchKey& key, std::size_t) {
+        std::unique_lock<std::mutex> lock(steal_mutex);
+        if (shard != key.pattern_id % shards) {  // served away from its home: stolen
+          steal_served = true;
+          steal_cv.notify_all();
+        } else if (shard == hot_shard) {
+          // Bounded, so a broken steal path fails the assertions below
+          // instead of hanging the test.
+          steal_cv.wait_for(lock, std::chrono::seconds(10), [&] { return steal_served; });
+        }
+      };
+    }
     InferenceServer server(system, config);
     for (int cam = 0; cam < 8; ++cam) {
       server.add_camera(std::make_unique<runtime::ReplayCameraSource>(

@@ -280,6 +280,49 @@ TEST(MetricsStress, SnapshotsRacingObserversStaySaneAndEndExact) {
             static_cast<std::uint64_t>(kWriters) * kObservationsEach);
 }
 
+// A snapshot that reports count N must carry the extremes of those N
+// observations. Publishing count_ before the min/max folds let a reader
+// racing the FIRST observation of a fresh histogram see count 1 with max 0
+// (the unset extreme) or min > max. Each round races one writer's single
+// observation against a reader spinning on snapshot() of a fresh histogram,
+// which is exactly that window.
+TEST(MetricsStress, SnapshotCountNeverOutrunsItsExtremes) {
+  constexpr int kRounds = 20000;
+  constexpr double kValue = 1e-3;
+  std::vector<std::unique_ptr<obs::Histogram>> histograms;
+  histograms.reserve(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    histograms.push_back(std::make_unique<obs::Histogram>());
+  }
+  // order: release by the reader once it spins on round r, acquire by the
+  // writer before observing — it only paces the rounds; the ordering under
+  // test is the histogram's own count_ publication.
+  std::atomic<int> spinning{-1};
+  std::thread writer([&histograms, &spinning] {
+    for (int r = 0; r < kRounds; ++r) {
+      while (spinning.load(std::memory_order_acquire) < r) {
+        std::this_thread::yield();
+      }
+      histograms[static_cast<std::size_t>(r)]->observe(kValue);
+    }
+  });
+  int torn = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const obs::Histogram& h = *histograms[static_cast<std::size_t>(r)];
+    spinning.store(r, std::memory_order_release);
+    for (;;) {
+      const obs::HistogramSnapshot snap = h.snapshot();
+      if (snap.count > 0) {
+        torn += (snap.max <= 0.0 || snap.min > snap.max) ? 1 : 0;
+        break;
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0) << torn << " of " << kRounds
+                     << " snapshots reported count > 0 without its extremes";
+}
+
 // The end-to-end version of the same contract, through the server: snapshots
 // taken MID-SERVE always render to valid JSON (json_lite is a strict parser:
 // bare nan/inf, trailing commas, and torn syntax all throw) and every
@@ -337,7 +380,11 @@ TEST(MetricsStress, MidServeJsonSnapshotsParseAndAreMonotoneVsFinal) {
   // sample must postdate the first serve. With 96 frames and a 300 us sample
   // period this never fires spuriously.
   ASSERT_FALSE(mid_snaps.empty());
-  EXPECT_GT(counter_value(final_snap, "snappix_frames_total"), 0U);
+  std::uint64_t served = 0;  // summed over the per-shard frames series
+  for (const auto& [name, value] : final_snap.counters) {
+    served += name.rfind("snappix_frames_total{", 0) == 0 ? value : 0U;
+  }
+  EXPECT_EQ(served, 4U * 24U);
 }
 
 // --- EngineCache: miss storm on one pattern across precision tiers -----------
